@@ -44,10 +44,11 @@ type goldenMap struct {
 }
 
 // goldenCorpus enumerates the determinism corpus in a fixed order:
-// SKUs × seeds × worker counts × plan on/off.
+// SKUs × seeds × worker counts × plan on/off. It covers every catalog
+// SKU, and the seeds reach all three fusing patterns (sku.Pattern(seed%3)).
 func goldenCorpus() (keys []string, run map[string]func(t testing.TB) goldenMap) {
-	skus := []*machine.SKU{machine.SKU8124M, machine.SKU8259CL, machine.SKU6354}
-	seeds := []int64{3, 11}
+	skus := machine.SKUs
+	seeds := []int64{3, 7, 11}
 	workers := []int{1, 4}
 	plans := []bool{true, false}
 

@@ -2,13 +2,25 @@ package noc
 
 import (
 	"context"
+	"flag"
 	"reflect"
 	"strings"
 	"testing"
 
 	"coremap/internal/mesh"
 	"coremap/internal/topo"
+	"coremap/internal/topo/topotest"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quick_golden.json from the current tree")
+
+// TestQuickSurveyGolden pins every catalog SKU's quick survey, seeds 1-3,
+// to the checked-in golden. The emitter's model goes through ilp.Solve,
+// so this is the backend's guard against solver changes moving a map.
+// Regenerate with: go test -run TestQuickSurveyGolden -update-golden .
+func TestQuickSurveyGolden(t *testing.T) {
+	topotest.CheckGolden(context.Background(), t, Backend{}, "testdata/quick_golden.json", *updateGolden, 1, 2, 3)
+}
 
 // TestRemapTablesInvert: the derived inverse tables actually invert the
 // public scrambling tables.

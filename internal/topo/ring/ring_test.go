@@ -2,12 +2,24 @@ package ring
 
 import (
 	"context"
+	"flag"
 	"reflect"
 	"testing"
 
 	"coremap/internal/ilp"
 	"coremap/internal/topo"
+	"coremap/internal/topo/topotest"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quick_golden.json from the current tree")
+
+// TestQuickSurveyGolden pins every catalog SKU's quick survey, seeds 1-3,
+// to the checked-in golden. The emitter's model goes through ilp.Solve,
+// so this is the backend's guard against solver changes moving a map.
+// Regenerate with: go test -run TestQuickSurveyGolden -update-golden .
+func TestQuickSurveyGolden(t *testing.T) {
+	topotest.CheckGolden(context.Background(), t, Backend{}, "testdata/quick_golden.json", *updateGolden, 1, 2, 3)
+}
 
 // TestQuickSurveyExact: every catalog SKU, several seeds — the exhaustive
 // contention campaign must reconstruct the secret slot permutation

@@ -8,7 +8,12 @@ package topotest
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"coremap/internal/mesh"
@@ -85,5 +90,62 @@ func CheckBackend(ctx context.Context, t *testing.T, b topo.Backend, seeds ...in
 	}
 	for _, seed := range seeds {
 		CheckSurvey(ctx, t, b, def, seed)
+	}
+}
+
+// CheckGolden surveys every catalog SKU of a backend at each seed and
+// compares the full SurveyResults against the JSON golden at path. The
+// golden pins the backend's end-to-end output — placement, solver
+// optimality, host-op count and rendering — so a solver or emitter change
+// that moves any survey shows up as a diff. With update set it rewrites
+// the golden from the current tree instead; regenerate only when a
+// survey's semantics intentionally change.
+func CheckGolden(ctx context.Context, t *testing.T, b topo.Backend, path string, update bool, seeds ...int64) {
+	t.Helper()
+	name := b.Name()
+	got := make(map[string]*topo.SurveyResult)
+	for _, sku := range b.Catalog() {
+		for _, seed := range seeds {
+			res, err := b.QuickSurvey(ctx, sku, seed)
+			if err != nil {
+				t.Fatalf("%s/%s seed %d: %v", name, sku, seed, err)
+			}
+			got[fmt.Sprintf("%s/seed=%d", sku, seed)] = res
+		}
+	}
+	if update {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d golden surveys to %s", len(got), path)
+		return
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading goldens (regenerate with -update-golden): %v", err)
+	}
+	var want map[string]*topo.SurveyResult
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s: golden has %d surveys, corpus has %d", name, len(want), len(got))
+	}
+	keys := make([]string, 0, len(got))
+	for key := range got {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if res := got[key]; !reflect.DeepEqual(res, want[key]) {
+			t.Errorf("%s %s diverged from golden\n got %+v\nwant %+v", name, key, res, want[key])
+		}
 	}
 }
