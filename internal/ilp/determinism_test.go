@@ -148,6 +148,9 @@ func corpus() []corpusModel {
 		{"packing-12", func() *Model { return packingModel(12, 20) }},
 		{"placement-4x3x4", func() *Model { return placementModel(4, 3, 4) }},
 		{"placement-5x4x5", func() *Model { return placementModel(5, 4, 5) }},
+		// Every variable interchangeable: thousands of tied optima for the
+		// lexicographic tie-break to order.
+		{"wide-8", func() *Model { return wideModel(8) }},
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
@@ -199,32 +202,6 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSolveDeterministicNoPresolve re-runs the structured corpus without
-// the equality-merging presolve, which changes the variable space the
-// lexicographic tie-break ranges over but must not change determinism.
-func TestSolveDeterministicNoPresolve(t *testing.T) {
-	model := func() *Model { return placementModel(4, 3, 4) }
-	ref, err := Solve(context.Background(), model(), Options{Workers: 1, NoPresolve: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerCounts[1:] {
-		sol, err := Solve(context.Background(), model(), Options{Workers: w, NoPresolve: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Objective != ref.Objective {
-			t.Errorf("workers=%d objective %d, want %d", w, sol.Objective, ref.Objective)
-		}
-		for i := range sol.Values {
-			if sol.Values[i] != ref.Values[i] {
-				t.Errorf("workers=%d disagrees at var %d: %d vs %d", w, i, ref.Values[i], sol.Values[i])
-				break
-			}
-		}
 	}
 }
 

@@ -126,9 +126,6 @@ func Enumerate(ctx context.Context, m *Model, opts EnumOptions) (res *EnumResult
 		}
 	}
 
-	// No presolve and no symmetry breaking: both are solution-preserving
-	// only up to representatives, and enumeration must see every member
-	// of the projected feasible set, not one per equivalence class.
 	s := &solver{m: m}
 	s.build(order)
 

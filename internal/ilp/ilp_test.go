@@ -72,15 +72,54 @@ func TestSolveInfeasible(t *testing.T) {
 	}
 }
 
+// TestSolveInfeasibleByConflict: models whose infeasibility only shows
+// once constraints interact — a sum pinned below two floors, an equality
+// between disjoint domains, two bounds on one linear form that cannot
+// both hold, and a pair of orderings that contradict each other.
 func TestSolveInfeasibleByConflict(t *testing.T) {
-	m := NewModel()
-	x := m.NewVar("x", 0, 10)
-	y := m.NewVar("y", 0, 10)
-	m.AddEq("a", []Term{T(1, x), T(1, y)}, 4)
-	m.AddGE("b", []Term{T(1, x)}, 3)
-	m.AddGE("c", []Term{T(1, y)}, 3)
-	if _, err := Solve(context.Background(), m, Options{}); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("err = %v, want ErrInfeasible", err)
+	cases := []struct {
+		name  string
+		build func() *Model
+	}{
+		{"sum-below-floors", func() *Model {
+			m := NewModel()
+			x := m.NewVar("x", 0, 10)
+			y := m.NewVar("y", 0, 10)
+			m.AddEq("a", []Term{T(1, x), T(1, y)}, 4)
+			m.AddGE("b", []Term{T(1, x)}, 3)
+			m.AddGE("c", []Term{T(1, y)}, 3)
+			return m
+		}},
+		{"equality-disjoint-domains", func() *Model {
+			m := NewModel()
+			x := m.NewVar("x", 0, 1)
+			y := m.NewVar("y", 3, 4)
+			m.AddEq("xy", []Term{T(1, x), T(-1, y)}, 0)
+			return m
+		}},
+		{"duplicate-form-disjoint-bounds", func() *Model {
+			m := NewModel()
+			x := m.NewVar("x", 0, 10)
+			y := m.NewVar("y", 0, 10)
+			m.AddRange("a", []Term{T(1, x), T(1, y)}, 0, 3)
+			m.AddRange("b", []Term{T(1, y), T(1, x)}, 7, 12)
+			return m
+		}},
+		{"contradictory-orderings", func() *Model {
+			m := NewModel()
+			x := m.NewVar("x", 0, 4)
+			y := m.NewVar("y", 0, 4)
+			m.AddGE("a", []Term{T(1, y), T(-1, x)}, 3)
+			m.AddGE("b", []Term{T(1, x), T(-1, y)}, 3)
+			return m
+		}},
+	}
+	for _, tc := range cases {
+		for _, w := range []int{1, 4} {
+			if _, err := Solve(context.Background(), tc.build(), Options{Workers: w}); !errors.Is(err, ErrInfeasible) {
+				t.Errorf("%s workers=%d: err = %v, want ErrInfeasible", tc.name, w, err)
+			}
+		}
 	}
 }
 
@@ -274,59 +313,15 @@ func bruteForce(m *Model) (best []int64, bestObj int64, found bool) {
 }
 
 // TestSolverMatchesBruteForce cross-validates the solver against
-// exhaustive enumeration on random small models.
+// exhaustive enumeration on random small models: the same optimum, and
+// the same lexicographically smallest value vector among tied optima.
+// FuzzSolveBruteForce explores the same model space further.
 func TestSolverMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		m := NewModel()
-		nVars := 2 + r.Intn(4)
-		for i := 0; i < nVars; i++ {
-			lo := int64(r.Intn(3)) - 1
-			m.NewVar("x", lo, lo+int64(r.Intn(4)))
-		}
-		nCons := 1 + r.Intn(4)
-		for i := 0; i < nCons; i++ {
-			var terms []Term
-			for v := 0; v < nVars; v++ {
-				if r.Intn(2) == 0 {
-					terms = append(terms, T(int64(r.Intn(7))-3, Var(v)))
-				}
-			}
-			if len(terms) == 0 {
-				continue
-			}
-			rhs := int64(r.Intn(11)) - 5
-			switch r.Intn(3) {
-			case 0:
-				m.AddLE("c", terms, rhs)
-			case 1:
-				m.AddGE("c", terms, rhs)
-			default:
-				m.AddRange("c", terms, rhs, rhs+int64(r.Intn(3)))
-			}
-		}
-		var obj []Term
-		for v := 0; v < nVars; v++ {
-			obj = append(obj, T(int64(r.Intn(9))-4, Var(v)))
-		}
-		m.SetObjective(obj)
-
-		want, wantObj, feasible := bruteForce(m)
-		sol, err := Solve(context.Background(), m, Options{})
-		if !feasible {
-			return errors.Is(err, ErrInfeasible)
-		}
-		if err != nil {
-			t.Logf("seed %d: solver errored on feasible model: %v (brute %v)", seed, err, want)
-			return false
-		}
-		if CheckFeasible(m, sol.Values) != nil {
-			t.Logf("seed %d: solver returned infeasible assignment", seed)
-			return false
-		}
-		if sol.Objective != wantObj {
-			t.Logf("seed %d: objective %d, brute force %d", seed, sol.Objective, wantObj)
+		if err := bruteForceMismatch(mixedModel(r.Intn), 0); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		return true

@@ -67,10 +67,8 @@ type engine struct {
 	// incumbents counts accepted incumbent updates; guarded by mu.
 	incumbents int64
 	// seeded records that the incumbent was warm-started before the
-	// search; symBreaks is the number of symmetry-ordering rows added.
-	// Both are set before run and read after the pool joins.
-	seeded    bool
-	symBreaks int64
+	// search. It is set before run and read after the pool joins.
+	seeded bool
 
 	// workerNodes[w] counts the frames worker w processed; each slot is
 	// written only by its owning worker, and read after the pool joins.

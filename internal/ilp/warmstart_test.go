@@ -103,32 +103,6 @@ func TestWarmStartRejectsBadSeeds(t *testing.T) {
 	}
 }
 
-// TestSymmetryBreak: on a model of fully interchangeable binaries the
-// ordering rows must shrink the search dramatically while returning the
-// exact same Solution.Values.
-func TestSymmetryBreak(t *testing.T) {
-	base, err := Solve(context.Background(), wideModel(8),
-		Options{Workers: 1, NoSymmetryBreak: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, reg := ctxWithRegistry()
-	sym, err := Solve(ctx, wideModel(8), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sym.Values, base.Values) {
-		t.Fatalf("symmetry breaking changed the solution:\n%v\n%v", sym.Values, base.Values)
-	}
-	if sym.Nodes >= base.Nodes {
-		t.Errorf("symmetry breaking did not shrink the search: %d nodes vs %d without",
-			sym.Nodes, base.Nodes)
-	}
-	if got := reg.Counter("ilp/symmetry_breaks").Value(); got == 0 {
-		t.Error("ilp/symmetry_breaks = 0, want > 0 on an all-interchangeable model")
-	}
-}
-
 // TestPooledStateIsolatedAcrossSolves: the worker free lists and
 // propagation scratch are per-solve state, so a burst of interleaved
 // warm- and cold-started solves of different models must reproduce each
@@ -200,31 +174,5 @@ func TestWarmStartNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutines: %d before, %d after warm-started solves", before, after)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestBreakSymmetriesSoundOnAsymmetricModel: variables that merely share
-// bounds and objective coefficient but play different constraint roles
-// must NOT be ordered.
-func TestBreakSymmetriesSoundOnAsymmetricModel(t *testing.T) {
-	m := NewModel()
-	x := m.NewBinary("x")
-	y := m.NewBinary("y")
-	// x ≥ y makes (1,0) feasible but (0,1) infeasible: the pair is not
-	// interchangeable even though bounds and objective agree.
-	m.AddGE("gate", []Term{T(1, x), T(-1, y)}, 0)
-	m.SetObjective([]Term{T(-1, x), T(-1, y)})
-	if n := breakSymmetries(m); n != 0 {
-		t.Fatalf("breakSymmetries added %d rows to an asymmetric model", n)
-	}
-
-	// And on a genuinely symmetric pair it orders exactly once.
-	m2 := NewModel()
-	a := m2.NewBinary("a")
-	b := m2.NewBinary("b")
-	m2.AddLE("cap", []Term{T(1, a), T(1, b)}, 1)
-	m2.SetObjective([]Term{T(-1, a), T(-1, b)})
-	if n := breakSymmetries(m2); n != 1 {
-		t.Fatalf("breakSymmetries added %d rows to a symmetric pair, want 1", n)
 	}
 }

@@ -115,8 +115,9 @@ func TestFingerprintObservationOrderInvariant(t *testing.T) {
 // TestReconstructObservationOrderInvariant: the map itself — not just the
 // fingerprint — must be invariant under observation reordering, otherwise
 // the sorted fingerprint would serve one ordering's result for another.
-// (This leans on presolve electing canonical class representatives; see
-// ilp/presolve.go.)
+// (This leans on locate declaring every R_i/C_i before any other
+// variable, so the solver's lexicographic tie-break compares positions
+// first.)
 func TestReconstructObservationOrderInvariant(t *testing.T) {
 	// An unanchored 4×4 subset has a genuine mirror tie, which is exactly
 	// where ordering sensitivity would surface.

@@ -1436,8 +1436,13 @@ func planObservation(o Observation) plan.Observation {
 
 // runStep1 is mapCoresToCHAs routed through the step-1 cache when one is
 // configured, returning the mapping together with its degradation record.
+// MapCoresToCHAs binds the prober to its own probe/map-cores span, which
+// has ended by the time it returns, so the run's context is bound again:
+// step 2's spans and events belong to the run, not to step 1.
 func (p *Prober) runStep1() ([]int, []Failure, error) {
-	mapping, err := p.MapCoresToCHAs(p.ctx)
+	ctx := p.ctx
+	mapping, err := p.MapCoresToCHAs(ctx)
+	p.bind(ctx)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -17,6 +17,7 @@ import (
 	"coremap/internal/machine"
 	"coremap/internal/msr"
 	"coremap/internal/obs"
+	"coremap/internal/plan"
 	"coremap/internal/probe"
 )
 
@@ -259,6 +260,66 @@ func TestReportReconciles(t *testing.T) {
 			t.Error("fault injector registered no injected faults")
 		}
 	})
+}
+
+// TestNoSpanUnderEndedMapCores pins the span tree of a planned run. Step
+// 1 runs inside its own probe/map-cores span, which has ended before step
+// 2 starts; the planner's ilp/enumerate spans and every later probe span
+// and event must hang off the run's span, never off that ended one.
+func TestNoSpanUnderEndedMapCores(t *testing.T) {
+	var sink bytes.Buffer
+	tel := fakeClockTelemetry(&sink)
+	ctx := obs.With(context.Background(), tel)
+	sku := machine.SKU8175M
+	m := machine.Generate(sku, 0, machine.Config{Seed: 7})
+	p, err := probe.New(m, probe.Options{Seed: 1, Plan: &plan.Options{
+		Rows: sku.Rows, Cols: sku.Cols, IMCPositions: sku.IMC,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.RunWith(ctx, probe.RunOptions{SliceSources: true}); err != nil {
+		t.Fatal(err)
+	}
+
+	var recs []obs.SpanRecord
+	dec := json.NewDecoder(&sink)
+	for dec.More() {
+		var r obs.SpanRecord
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
+	}
+	mapCoresEnd := make(map[int64]int64)
+	var runID int64
+	for _, r := range recs {
+		switch r.Name {
+		case "probe/map-cores":
+			mapCoresEnd[r.ID] = r.StartUS + r.DurUS
+		case "probe/run":
+			runID = r.ID
+		}
+	}
+	if len(mapCoresEnd) == 0 || runID == 0 {
+		t.Fatalf("trace has %d probe/map-cores spans and run id %d; want both", len(mapCoresEnd), runID)
+	}
+	enumerations := 0
+	for _, r := range recs {
+		if end, ok := mapCoresEnd[r.Parent]; ok && r.StartUS >= end {
+			t.Errorf("%s (id %d) starts at %dµs under probe/map-cores (id %d), which ended at %dµs",
+				r.Name, r.ID, r.StartUS, r.Parent, end)
+		}
+		if r.Name == "ilp/enumerate" {
+			enumerations++
+			if r.Parent != runID {
+				t.Errorf("ilp/enumerate (id %d) has parent %d, want probe/run %d", r.ID, r.Parent, runID)
+			}
+		}
+	}
+	if enumerations == 0 {
+		t.Fatal("planned run traced no ilp/enumerate spans")
+	}
 }
 
 // TestDegradedRunFlightDump is the post-mortem acceptance test: a run
