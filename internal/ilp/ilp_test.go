@@ -72,55 +72,68 @@ func TestSolveInfeasible(t *testing.T) {
 	}
 }
 
-// TestSolveInfeasibleByConflict: models whose infeasibility only shows
-// once constraints interact — a sum pinned below two floors, an equality
-// between disjoint domains, two bounds on one linear form that cannot
-// both hold, and a pair of orderings that contradict each other.
-func TestSolveInfeasibleByConflict(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func() *Model
-	}{
-		{"sum-below-floors", func() *Model {
-			m := NewModel()
-			x := m.NewVar("x", 0, 10)
-			y := m.NewVar("y", 0, 10)
-			m.AddEq("a", []Term{T(1, x), T(1, y)}, 4)
-			m.AddGE("b", []Term{T(1, x)}, 3)
-			m.AddGE("c", []Term{T(1, y)}, 3)
-			return m
-		}},
-		{"equality-disjoint-domains", func() *Model {
-			m := NewModel()
-			x := m.NewVar("x", 0, 1)
-			y := m.NewVar("y", 3, 4)
-			m.AddEq("xy", []Term{T(1, x), T(-1, y)}, 0)
-			return m
-		}},
-		{"duplicate-form-disjoint-bounds", func() *Model {
-			m := NewModel()
-			x := m.NewVar("x", 0, 10)
-			y := m.NewVar("y", 0, 10)
-			m.AddRange("a", []Term{T(1, x), T(1, y)}, 0, 3)
-			m.AddRange("b", []Term{T(1, y), T(1, x)}, 7, 12)
-			return m
-		}},
-		{"contradictory-orderings", func() *Model {
-			m := NewModel()
-			x := m.NewVar("x", 0, 4)
-			y := m.NewVar("y", 0, 4)
-			m.AddGE("a", []Term{T(1, y), T(-1, x)}, 3)
-			m.AddGE("b", []Term{T(1, x), T(-1, y)}, 3)
-			return m
-		}},
-	}
-	for _, tc := range cases {
-		for _, w := range []int{1, 4} {
-			if _, err := Solve(context.Background(), tc.build(), Options{Workers: w}); !errors.Is(err, ErrInfeasible) {
-				t.Errorf("%s workers=%d: err = %v, want ErrInfeasible", tc.name, w, err)
-			}
+// requireInfeasible solves the model built by build at one and at four
+// workers and requires ErrInfeasible from both.
+func requireInfeasible(t *testing.T, build func() *Model) {
+	t.Helper()
+	for _, w := range []int{1, 4} {
+		if _, err := Solve(context.Background(), build(), Options{Workers: w}); !errors.Is(err, ErrInfeasible) {
+			t.Errorf("workers=%d: err = %v, want ErrInfeasible", w, err)
 		}
 	}
+}
+
+// TestSolveInfeasibleByConflict: a sum pinned below two floors is
+// infeasible only once the three rows interact.
+func TestSolveInfeasibleByConflict(t *testing.T) {
+	requireInfeasible(t, func() *Model {
+		m := NewModel()
+		x := m.NewVar("x", 0, 10)
+		y := m.NewVar("y", 0, 10)
+		m.AddEq("a", []Term{T(1, x), T(1, y)}, 4)
+		m.AddGE("b", []Term{T(1, x)}, 3)
+		m.AddGE("c", []Term{T(1, y)}, 3)
+		return m
+	})
+}
+
+// TestPresolveDetectsInfeasibleMerge: an equality x = y between disjoint
+// domains. Solve has no equality-merging presolve, so the search itself
+// must find that no value satisfies both.
+func TestPresolveDetectsInfeasibleMerge(t *testing.T) {
+	requireInfeasible(t, func() *Model {
+		m := NewModel()
+		x := m.NewVar("x", 0, 1)
+		y := m.NewVar("y", 3, 4)
+		m.AddEq("xy", []Term{T(1, x), T(-1, y)}, 0)
+		return m
+	})
+}
+
+// TestReduceDetectsDuplicateConflict: two bounds on one linear form, with
+// its terms in either order, that cannot both hold.
+func TestReduceDetectsDuplicateConflict(t *testing.T) {
+	requireInfeasible(t, func() *Model {
+		m := NewModel()
+		x := m.NewVar("x", 0, 10)
+		y := m.NewVar("y", 0, 10)
+		m.AddRange("a", []Term{T(1, x), T(1, y)}, 0, 3)
+		m.AddRange("b", []Term{T(1, y), T(1, x)}, 7, 12)
+		return m
+	})
+}
+
+// TestReduceInfeasibleByPropagation: a pair of orderings that contradict
+// each other (y ≥ x+3 and x ≥ y+3) has no integer solution.
+func TestReduceInfeasibleByPropagation(t *testing.T) {
+	requireInfeasible(t, func() *Model {
+		m := NewModel()
+		x := m.NewVar("x", 0, 4)
+		y := m.NewVar("y", 0, 4)
+		m.AddGE("a", []Term{T(1, y), T(-1, x)}, 3)
+		m.AddGE("b", []Term{T(1, x), T(-1, y)}, 3)
+		return m
+	})
 }
 
 func TestBigMDisjunction(t *testing.T) {
