@@ -22,9 +22,12 @@ race:
 	go test -race -run 'TestSolveCancel|TestMapMachineCancel' -count=1 ./internal/ilp/ . -timeout 300s
 
 # Mirrors the CI fuzz job: 30 s of FuzzSolveBruteForce, the ILP solver
-# against brute-force enumeration on small generated models.
+# against brute-force enumeration on small generated models, then 20 s of
+# FuzzPlannerScoring, the planner's batches against the per-tile
+# reference scoring on generated surveys.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzSolveBruteForce$$' -fuzztime 30s ./internal/ilp/
+	go test -run '^$$' -fuzz '^FuzzPlannerScoring$$' -fuzztime 20s ./internal/plan/
 
 # Mirrors the lint jobs of .github/workflows/ci.yml: go vet, staticcheck
 # (skipped with a notice when the binary is absent — install it with

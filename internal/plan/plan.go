@@ -18,8 +18,8 @@
 //     placement set once ambiguity drops under Options.AmbiguityCap;
 //   - an exact observation predictor — the topology backend's routing
 //     model (Options.Predictor, defaulting to the mesh backend's
-//     Y-then-X dimension-order meshroute.Predictor) — used to partition
-//     survivors by predicted outcome;
+//     Y-then-X dimension-order meshroute.Predictor), walked one route
+//     per survivor — used to partition survivors by predicted outcome;
 //   - a per-observation consistency check mirroring the constraint
 //     encoding of locate.addObservation, used to filter survivors
 //     incrementally as measurements arrive.
@@ -45,7 +45,6 @@ package plan
 
 import (
 	"context"
-	"sort"
 
 	"coremap/internal/cmerr"
 	"coremap/internal/ilp"
@@ -124,7 +123,8 @@ type Options struct {
 	// Rows and Cols are the die grid dimensions (required).
 	Rows, Cols int
 	// IMCPositions are the known memory-controller die coordinates,
-	// indexed by Candidate.IMC / Observation.SrcIMC.
+	// indexed by Candidate.IMC / Observation.SrcIMC. Each must lie on
+	// the grid.
 	IMCPositions []mesh.Coord
 	// AmbiguityCap bounds the surviving-placement set the planner is
 	// willing to materialize: while more placements than this remain
@@ -218,8 +218,15 @@ type Planner struct {
 	observations []Observation
 	// survivors is the materialized set of placements (CHA → coordinate)
 	// consistent with every observation so far; nil until the first
-	// complete enumeration.
+	// complete enumeration. cells[i] is survivors[i] as a row-major
+	// cell → CHA table (-1 on empty cells); Observe filters both alike.
 	survivors [][]mesh.Coord
+	cells     [][]int16
+	// dead marks candidates whose predicted observation was identical on
+	// every survivor when last scored. Survivors only shrink once
+	// materialized, so such a candidate can never split them again and
+	// scoreAndPick skips it for good. Nothing else reads the marks.
+	dead      []bool
 	fallback  bool
 	converged bool
 
@@ -246,10 +253,11 @@ type Planner struct {
 	coordFixed []bool
 	cellMark   []int64
 	cellEpoch  int64
+	hops       []topo.Hop
 	keyBuf     []byte
-	counts     map[string]int
+	outcomes   keyTable
 	remaining  []int
-	scored     []scoredCand
+	best       []scoredCand
 }
 
 type scoredCand struct {
@@ -273,6 +281,11 @@ func New(opts Options, numCHA int, cands []Candidate) (*Planner, error) {
 	if numCHA > 255 {
 		return nil, cmerr.New(cmerr.Permanent, stage, "%d CHAs exceed the planner's key encoding limit", numCHA)
 	}
+	for i, t := range opts.IMCPositions {
+		if t.Row < 0 || t.Row >= opts.Rows || t.Col < 0 || t.Col >= opts.Cols {
+			return nil, cmerr.New(cmerr.Permanent, stage, "IMC %d at %v lies off the %dx%d grid", i, t, opts.Rows, opts.Cols)
+		}
+	}
 	for i, c := range cands {
 		if c.DstCHA < 0 || c.DstCHA >= numCHA {
 			return nil, cmerr.New(cmerr.Permanent, stage, "candidate %d destination CHA %d out of range", i, c.DstCHA)
@@ -290,10 +303,10 @@ func New(opts Options, numCHA int, cands []Candidate) (*Planner, error) {
 		numCHA:     numCHA,
 		cands:      append([]Candidate(nil), cands...),
 		state:      make([]candState, len(cands)),
+		dead:       make([]bool, len(cands)),
 		projCoords: make([]mesh.Coord, numCHA),
 		coordFixed: make([]bool, numCHA),
 		cellMark:   make([]int64, opts.Rows*opts.Cols),
-		counts:     make(map[string]int),
 	}, nil
 }
 
@@ -384,20 +397,21 @@ func (pl *Planner) Observe(ci int, o Observation) {
 	if pl.survivors == nil {
 		return
 	}
-	kept := pl.survivors[:0]
-	for _, p := range pl.survivors {
+	kept, keptCells := pl.survivors[:0], pl.cells[:0]
+	for i, p := range pl.survivors {
 		if pl.consistent(o, p) {
 			kept = append(kept, p)
+			keptCells = append(keptCells, pl.cells[i])
 		}
 	}
-	pl.survivors = kept
+	pl.survivors, pl.cells = kept, keptCells
 	if len(pl.survivors) == 0 {
 		// Every placement the constraints admitted is contradicted: the
 		// prediction model and reality have diverged (which the design
 		// rules out for supported configurations, but a degraded or
 		// misconfigured run can get here). Degrade to the exhaustive
 		// sweep; the reconstruction then sees everything measurable.
-		pl.survivors = nil
+		pl.survivors, pl.cells = nil, nil
 		pl.fallback = true
 	}
 }
@@ -454,12 +468,17 @@ func (pl *Planner) materialize(ctx context.Context) error {
 		return nil
 	}
 	pl.survivors = make([][]mesh.Coord, len(res.Solutions))
+	pl.cells = make([][]int16, len(res.Solutions))
+	grid := pl.opts.Rows * pl.opts.Cols
+	cells := make([]int16, len(res.Solutions)*grid)
 	for i, proj := range res.Solutions {
 		p := make([]mesh.Coord, pl.numCHA)
 		for k := 0; k < pl.numCHA; k++ {
 			p[k] = mesh.Coord{Row: int(proj[2*k]), Col: int(proj[2*k+1])}
 		}
 		pl.survivors[i] = p
+		pl.cells[i] = cells[i*grid : (i+1)*grid : (i+1)*grid]
+		pl.cellIndex(p, pl.cells[i])
 	}
 	return nil
 }
@@ -516,51 +535,69 @@ func (pl *Planner) seedBatch(remaining []int) []int {
 // When no candidate splits the set at all, the survey has converged:
 // every remaining measurement is already decided by the constraints in
 // hand, so it sets pl.converged and returns nothing.
+//
+// Only the best BatchSize (score, index) pairs are kept, in order. Since
+// remaining is in ascending pool order, a later candidate that merely
+// ties the worst kept score loses the tie, so partition may abandon a
+// candidate as soon as it splits the set with a block that large. A
+// candidate found to split nothing is marked dead and never scored
+// again.
 func (pl *Planner) scoreAndPick(remaining []int) []int {
-	scored := pl.scored[:0]
+	n := pl.opts.BatchSize
+	best := pl.best[:0]
 	for _, ci := range remaining {
-		blocks, maxBlock := pl.partition(pl.cands[ci])
-		if blocks > 1 {
-			scored = append(scored, scoredCand{idx: ci, score: maxBlock})
+		if pl.dead[ci] {
+			continue
 		}
+		bound := 0
+		if len(best) == n {
+			bound = best[n-1].score
+		}
+		blocks, maxBlock := pl.partition(pl.cands[ci], bound)
+		if blocks == 1 {
+			pl.dead[ci] = true
+		}
+		if blocks < 2 || (bound > 0 && maxBlock >= bound) {
+			continue
+		}
+		i := len(best)
+		if i < n {
+			best = append(best, scoredCand{})
+		} else {
+			i--
+		}
+		for ; i > 0 && best[i-1].score > maxBlock; i-- {
+			best[i] = best[i-1]
+		}
+		best[i] = scoredCand{idx: ci, score: maxBlock}
 	}
-	pl.scored = scored
-	if len(scored) == 0 {
+	pl.best = best
+	if len(best) == 0 {
 		pl.converged = true
 		return nil
 	}
-	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].score != scored[j].score {
-			return scored[i].score < scored[j].score
-		}
-		return scored[i].idx < scored[j].idx
-	})
-	n := pl.opts.BatchSize
-	if n > len(scored) {
-		n = len(scored)
-	}
-	batch := make([]int, n)
-	for i := 0; i < n; i++ {
-		batch[i] = scored[i].idx
+	batch := make([]int, len(best))
+	for i, sc := range best {
+		batch[i] = sc.idx
 	}
 	return batch
 }
 
 // partition groups the survivors by candidate c's predicted observation,
 // returning the number of distinct outcomes and the largest group size.
-func (pl *Planner) partition(c Candidate) (blocks, maxBlock int) {
-	counts := pl.counts
-	for k := range counts {
-		delete(counts, k)
-	}
-	for _, p := range pl.survivors {
-		key := pl.predictKey(c, p)
-		counts[string(key)]++
-	}
-	for _, n := range counts {
-		blocks++
-		if n > maxBlock {
+// A bound > 0 lets it stop early, once c has two outcomes and a block of
+// at least bound survivors: c then splits the set but scores no better
+// than bound. The returned counts are partial in that case; a candidate
+// with a single outcome so far is always partitioned to the end.
+func (pl *Planner) partition(c Candidate, bound int) (blocks, maxBlock int) {
+	pl.outcomes.reset(len(pl.survivors))
+	for s := range pl.survivors {
+		if n := pl.outcomes.add(pl.predictKey(c, s)); n > maxBlock {
 			maxBlock = n
+		}
+		blocks = len(pl.outcomes.ents)
+		if bound > 0 && blocks > 1 && maxBlock >= bound {
+			break
 		}
 	}
 	return blocks, maxBlock

@@ -121,9 +121,9 @@ func TestPlannerConvergesOnToyPlacement(t *testing.T) {
 			continue
 		}
 		c := pl.cands[ci]
-		want := string(pl.predictKey(c, pl.survivors[0]))
-		for _, p := range pl.survivors[1:] {
-			if got := string(pl.predictKey(c, p)); got != want {
+		want := string(pl.predictKey(c, 0))
+		for s := 1; s < len(pl.survivors); s++ {
+			if got := string(pl.predictKey(c, s)); got != want {
 				t.Fatalf("skipped candidate %d still splits survivors: %q vs %q", ci, got, want)
 			}
 		}
@@ -272,6 +272,12 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Options{Rows: 2, Cols: 2}, 2, []Candidate{{Kind: KindMemory, SrcCHA: -1, DstCHA: 0, IMC: 0}}); cmerr.ClassOf(err) != cmerr.Permanent {
 		t.Errorf("unknown IMC accepted: %v", err)
+	}
+	for _, imc := range []mesh.Coord{{Row: 2, Col: 0}, {Row: 0, Col: 2}, {Row: -1, Col: 0}, {Row: 0, Col: -1}} {
+		opts := Options{Rows: 2, Cols: 2, IMCPositions: []mesh.Coord{imc}}
+		if _, err := New(opts, 2, []Candidate{{Kind: KindMemory, SrcCHA: -1, DstCHA: 0, IMC: 0}}); cmerr.ClassOf(err) != cmerr.Permanent {
+			t.Errorf("off-grid IMC %v accepted: %v", imc, err)
+		}
 	}
 	if _, err := New(Options{Rows: 2, Cols: 2}, 2, []Candidate{{Kind: KindPair, SrcCHA: -1, DstCHA: 0}}); cmerr.ClassOf(err) != cmerr.Permanent {
 		t.Errorf("negative pair source accepted: %v", err)

@@ -1,11 +1,11 @@
 // Package meshroute is the mesh backend's routing/observation model: the
 // exact predictor for what a Y-then-X dimension-order-routed flow charges
-// at each tile. It was extracted verbatim from internal/plan so the
-// planner asks the topology backend for predictions instead of computing
-// mesh routes itself; the Channel byte values and the classification
-// logic are unchanged, which is what keeps the planner's predictKey byte
-// keys — and therefore the planned surveys — byte-identical to the
-// pre-refactor pipeline.
+// at each tile. Classify is the per-tile specification; Predictor.Route
+// walks the same route hop by hop, which is what the planner consumes.
+// The Channel byte values are unchanged from the in-package classifier
+// the planner once carried, which keeps its predictKey byte keys — and
+// therefore the planned surveys — byte-identical to the pre-refactor
+// pipeline.
 package meshroute
 
 import (
@@ -51,5 +51,24 @@ func Classify(src, dst, t mesh.Coord) topo.Channel {
 // planner (the default when plan.Options.Predictor is nil).
 type Predictor struct{}
 
-// Classify implements topo.Predictor.
-func (Predictor) Classify(src, dst, t mesh.Coord) topo.Channel { return Classify(src, dst, t) }
+// Route implements topo.Predictor: it walks the Y-then-X route of
+// src → dst and appends every receiving tile with the counter Classify
+// assigns it — the vertical segment in src's column from the tile after
+// src to the corner at dst's row, then the horizontal segment in dst's
+// row from the column after the corner to dst. TestPredictorMatchesClassify
+// pins the walk to Classify on every tile of the catalog grids.
+func (Predictor) Route(hops []topo.Hop, src, dst mesh.Coord) []topo.Hop {
+	for r := src.Row - 1; r >= dst.Row; r-- {
+		hops = append(hops, topo.Hop{Tile: mesh.Coord{Row: r, Col: src.Col}, Chan: topo.ChanUp})
+	}
+	for r := src.Row + 1; r <= dst.Row; r++ {
+		hops = append(hops, topo.Hop{Tile: mesh.Coord{Row: r, Col: src.Col}, Chan: topo.ChanDown})
+	}
+	for c := src.Col + 1; c <= dst.Col; c++ {
+		hops = append(hops, topo.Hop{Tile: mesh.Coord{Row: dst.Row, Col: c}, Chan: topo.ChanHorz})
+	}
+	for c := src.Col - 1; c >= dst.Col; c-- {
+		hops = append(hops, topo.Hop{Tile: mesh.Coord{Row: dst.Row, Col: c}, Chan: topo.ChanHorz})
+	}
+	return hops
+}

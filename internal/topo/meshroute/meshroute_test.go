@@ -3,6 +3,7 @@ package meshroute
 import (
 	"testing"
 
+	"coremap/internal/machine"
 	"coremap/internal/mesh"
 	"coremap/internal/topo"
 )
@@ -67,17 +68,47 @@ func TestChannelValuesPinned(t *testing.T) {
 	}
 }
 
-// TestPredictorMatchesClassify pins the interface wrapper to the free
-// function on every tile of a small grid.
+// TestPredictorMatchesClassify pins the route walk to the per-tile
+// specification, exhaustively on every catalog grid (5×6 and 8×6): for
+// every source — each cell, the catalog IMC positions among them — and
+// every destination, the route's hops must be exactly the tiles where
+// Classify reports a channel, each once and with that channel.
 func TestPredictorMatchesClassify(t *testing.T) {
 	var pred Predictor
-	src := mesh.Coord{Row: 2, Col: 0}
-	dst := mesh.Coord{Row: 1, Col: 3}
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			tile := mesh.Coord{Row: r, Col: c}
-			if pred.Classify(src, dst, tile) != Classify(src, dst, tile) {
-				t.Fatalf("predictor disagrees with Classify at %v", tile)
+	var hops []topo.Hop
+	for _, sku := range machine.SKUs {
+		var cells []mesh.Coord
+		for r := 0; r < sku.Rows; r++ {
+			for c := 0; c < sku.Cols; c++ {
+				cells = append(cells, mesh.Coord{Row: r, Col: c})
+			}
+		}
+		srcs := append(append([]mesh.Coord(nil), cells...), sku.IMC...)
+		for _, src := range srcs {
+			for _, dst := range cells {
+				hops = pred.Route(hops[:0], src, dst)
+				got := make(map[mesh.Coord]topo.Channel, len(hops))
+				for _, h := range hops {
+					if _, dup := got[h.Tile]; dup {
+						t.Fatalf("%s: route %v→%v visits %v twice", sku.Name, src, dst, h.Tile)
+					}
+					got[h.Tile] = h.Chan
+				}
+				onGrid := 0
+				for _, tile := range cells {
+					want := Classify(src, dst, tile)
+					ch, ok := got[tile]
+					if ok != (want != topo.ChanNone) || ch != want {
+						t.Fatalf("%s: route %v→%v at %v: hop channel %d (on route %v), Classify %d",
+							sku.Name, src, dst, tile, ch, ok, want)
+					}
+					if ok {
+						onGrid++
+					}
+				}
+				if onGrid != len(hops) {
+					t.Fatalf("%s: route %v→%v leaves the grid: %v", sku.Name, src, dst, hops)
+				}
 			}
 		}
 	}

@@ -95,14 +95,27 @@ const (
 	ChanHorz
 )
 
+// Hop is one receiving tile of a flow and the counter it charges (never
+// ChanNone).
+type Hop struct {
+	Tile mesh.Coord
+	Chan Channel
+}
+
 // Predictor is a backend's exact observation model as the adaptive
-// planner consumes it: given a flow src → dst, which counter does the
-// tile at t charge? Predictors must be stateless and deterministic — the
+// planner consumes it, one flow at a time: Route appends to hops every
+// receiving tile of the flow src → dst with the counter it charges, and
+// returns the extended slice. Each tile appears at most once; tiles off
+// the route, and src itself, do not appear. Every hop lies in the
+// rectangle spanned by src and dst, so on-grid endpoints give on-grid
+// hops (the planner indexes its cell tables with them). The caller owns
+// the buffer, so a planner scoring thousands of flows allocates nothing
+// per call. Predictors must be stateless and deterministic — the
 // planner partitions surviving placements by predicted outcome, and two
 // placements must compare equal exactly when the substrate cannot tell
 // them apart.
 type Predictor interface {
-	Classify(src, dst, t mesh.Coord) Channel
+	Route(hops []Hop, src, dst mesh.Coord) []Hop
 }
 
 // SurveyResult is one backend survey: a seeded instance measured,
