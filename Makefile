@@ -24,10 +24,13 @@ race:
 # Mirrors the CI fuzz job: 30 s of FuzzSolveBruteForce, the ILP solver
 # against brute-force enumeration on small generated models, then 20 s of
 # FuzzPlannerScoring, the planner's batches against the per-tile
-# reference scoring on generated surveys.
+# reference scoring on generated surveys, then 20 s of
+# FuzzObservationEncoding, the mesh observation encoding against
+# locate.Validate and the ILP rows locate lowers it to.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzSolveBruteForce$$' -fuzztime 30s ./internal/ilp/
 	go test -run '^$$' -fuzz '^FuzzPlannerScoring$$' -fuzztime 20s ./internal/plan/
+	go test -run '^$$' -fuzz '^FuzzObservationEncoding$$' -fuzztime 20s ./internal/locate/
 
 # Mirrors the lint jobs of .github/workflows/ci.yml: go vet, staticcheck
 # (skipped with a notice when the binary is absent — install it with

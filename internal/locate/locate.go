@@ -4,18 +4,22 @@
 // (Sec. II-C) with internal/ilp.
 //
 // Variables per CHA tile i: row R_i and column C_i. Every observation
-// contributes:
+// contributes the rows of its meshroute.Encode description, the one
+// encoding of the mesh observation semantics the adaptive planner
+// (internal/plan) shares:
 //
-//   - alignment: CHAs that saw vertical ingress share the source's column;
-//     CHAs that saw horizontal ingress share the sink's row;
-//   - vertical bounding boxes: up-ingress observers lie strictly below the
-//     source and not above the sink (reversed for down);
-//   - horizontal bounding boxes: because odd columns are mirrored, the
-//     true east/west direction is unknowable, so per-path binary
-//     "nullifier" variables NE_p/NW_p enable exactly one direction's
-//     bounds (big-M trick);
-//   - one-hot row/column encodings plus occupancy indicator variables
-//     feed a weighted objective that selects the tightest packed map.
+//   - its linear facts — alignment (vertical observers share the
+//     source's column, horizontal observers the sink's row) and vertical
+//     bounding boxes (up-ingress observers lie strictly below the source
+//     and not above the sink, reversed for down) — lowered one row each,
+//     or dominance-reduced across observations (prune.go);
+//   - its horizontal record: because odd columns are mirrored, the true
+//     east/west direction is unknowable, so per-path binary "nullifier"
+//     variables NE_p/NW_p enable exactly one direction's bounding box
+//     (big-M trick).
+//
+// One-hot row/column encodings plus occupancy indicator variables feed a
+// weighted objective that selects the tightest packed map.
 //
 // Tiles are additionally kept from overlapping by lazily adding pairwise
 // separation disjunctions — only for the (rare, LLC-only-tile) pairs the
@@ -26,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -35,6 +40,7 @@ import (
 	"coremap/internal/obs"
 	"coremap/internal/probe"
 	"coremap/internal/topo"
+	"coremap/internal/topo/meshroute"
 )
 
 // bigM nullifies guarded constraints; any value exceeding every possible
@@ -134,10 +140,11 @@ var ErrInterrupted = cmerr.Sentinel(cmerr.Interrupted, "locate: reconstruction i
 
 // builder assembles the ILP.
 type builder struct {
-	m       *ilp.Model
-	r, c    []ilp.Var
-	anchors map[mesh.Coord][2]ilp.Var
-	in      Input
+	m    *ilp.Model
+	r, c []ilp.Var
+	in   Input
+	// facts is meshroute.Encode's scratch.
+	facts []meshroute.Fact
 	// lbl is scratch for building label and name strings with strconv
 	// instead of fmt: one constraint label is minted per model row, and
 	// Sprintf's vararg boxing was the largest allocation source of model
@@ -154,7 +161,7 @@ type builder struct {
 // pathDir is one horizontal path's direction-nullifier pair.
 type pathDir struct {
 	ne, nw ilp.Var
-	obs    probe.Observation
+	h      meshroute.Horz
 }
 
 // nameIdx formats prefix+itoa(i), e.g. "R3".
@@ -193,7 +200,7 @@ func (b *builder) pathLabel(p, src, dst int, kind string, k int) string {
 }
 
 func newBuilder(in Input) *builder {
-	b := &builder{m: ilp.NewModel(), in: in, anchors: make(map[mesh.Coord][2]ilp.Var)}
+	b := &builder{m: ilp.NewModel(), in: in}
 	b.r = make([]ilp.Var, in.NumCHA)
 	b.c = make([]ilp.Var, in.NumCHA)
 	for i := 0; i < in.NumCHA; i++ {
@@ -203,74 +210,71 @@ func newBuilder(in Input) *builder {
 	return b
 }
 
-// srcVars returns the row/column variables of an observation's source:
-// the CHA's position unknowns, or — for memory-anchored observations —
-// variables fixed at the known IMC die position.
-func (b *builder) srcVars(o probe.Observation) (ilp.Var, ilp.Var) {
-	if !o.Anchored {
-		return b.r[o.SrcCHA], b.c[o.SrcCHA]
+// addObservation lowers one observation's encoding without dominance
+// pruning (Options.NoPrune): every fact as one row, then the horizontal
+// record.
+func (b *builder) addObservation(p int, o probe.Observation, paperBounds bool) {
+	var h meshroute.Horz
+	b.facts, h = meshroute.Encode(b.facts[:0], o, b.in.IMCPositions, paperBounds)
+	for _, f := range b.facts {
+		f.AddTo(b.m, b.r, b.c)
 	}
-	pos := b.in.IMCPositions[o.SrcIMC]
-	if v, ok := b.anchors[pos]; ok {
-		return v[0], v[1]
-	}
-	rv := b.m.NewVar(fmt.Sprintf("AR%d_%d", pos.Row, pos.Col), int64(pos.Row), int64(pos.Row))
-	cv := b.m.NewVar(fmt.Sprintf("AC%d_%d", pos.Row, pos.Col), int64(pos.Col), int64(pos.Col))
-	b.anchors[pos] = [2]ilp.Var{rv, cv}
-	return rv, cv
+	b.addHorz(p, &h, false)
 }
 
-// addObservation encodes one traffic path's constraints.
-func (b *builder) addObservation(p int, o probe.Observation, paperBounds bool) {
-	e := o.DstCHA
-	srcR, srcC := b.srcVars(o)
-	label := func(kind string, k int) string {
-		return b.pathLabel(p, o.SrcCHA, e, kind, k)
-	}
-
-	for _, k := range o.Up {
-		// Vertical alignment with the source column.
-		b.m.AddEq(label("col", k), []ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, srcC)}, 0)
-		// Upward travel: R_s > R_k ≥ R_e.
-		b.m.AddGE(label("up-src", k), []ilp.Term{ilp.T(1, srcR), ilp.T(-1, b.r[k])}, 1)
-		b.m.AddGE(label("up-dst", k), []ilp.Term{ilp.T(1, b.r[k]), ilp.T(-1, b.r[e])}, 0)
-	}
-	for _, k := range o.Down {
-		b.m.AddEq(label("col", k), []ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, srcC)}, 0)
-		// Downward travel: R_s < R_k ≤ R_e.
-		b.m.AddGE(label("dn-src", k), []ilp.Term{ilp.T(1, b.r[k]), ilp.T(-1, srcR)}, 1)
-		b.m.AddGE(label("dn-dst", k), []ilp.Term{ilp.T(1, b.r[e]), ilp.T(-1, b.r[k])}, 0)
-	}
-	if len(o.Horz) == 0 {
+// addHorz lowers path p's horizontal record to big-M rows under a fresh
+// pair of direction nullifiers: NE_p = 0 activates the eastbound bounds,
+// NW_p = 0 the westbound ones, and exactly one is 0. Every observer sits
+// at least the record's gap past the source column; every observer but
+// the sink sits strictly before the sink column. With prune set, the
+// sink's own source-side bounds are skipped whenever another observer
+// is on the path: src-bound(k) + dst-bound(k) imply src-bound(sink)
+// under the shared guard, since bigM exceeds any column difference.
+func (b *builder) addHorz(p int, h *meshroute.Horz, prune bool) {
+	if len(h.Obs) == 0 {
 		return
+	}
+	e := h.Dst
+	label := func(kind string, k int) string {
+		return b.pathLabel(p, h.Src, e, kind, k)
 	}
 	ne := b.m.NewBinary(b.nameIdx("NE", p))
 	nw := b.m.NewBinary(b.nameIdx("NW", p))
-	b.dirs = append(b.dirs, pathDir{ne: ne, nw: nw, obs: o})
+	b.dirs = append(b.dirs, pathDir{ne: ne, nw: nw, h: *h})
 	b.m.AddEq(label("dir", 0), []ilp.Term{ilp.T(1, ne), ilp.T(1, nw)}, 1)
-	for _, k := range o.Horz {
-		// Horizontal alignment with the sink row.
-		b.m.AddEq(label("row", k), []ilp.Term{ilp.T(1, b.r[k]), ilp.T(-1, b.r[e])}, 0)
 
-		srcGap, dstGap := int64(1), int64(1)
-		if paperBounds {
-			// The paper's (2)/(3): C_s ≤ C_k and C_k < C_e
-			// (eastbound), mirrored westbound.
-			srcGap = 0
+	gap := int64(h.Gap)
+	skipSinkSrc := prune && int64(b.in.Cols) <= bigM &&
+		slices.ContainsFunc(h.Obs, func(k int) bool { return k != e })
+	for _, k := range h.Obs {
+		if k == e && skipSinkSrc {
+			continue
 		}
-		// Eastbound (active when NE=0): C_s + srcGap ≤ C_k.
-		b.m.AddLE(label("east-src", k),
-			[]ilp.Term{ilp.T(1, srcC), ilp.T(-1, b.c[k]), ilp.T(-bigM, ne)}, -srcGap)
-		// Westbound (active when NW=0): C_k + srcGap ≤ C_s.
-		b.m.AddLE(label("west-src", k),
-			[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, srcC), ilp.T(-bigM, nw)}, -srcGap)
-		if k != e {
-			// Intermediates sit strictly before the sink.
-			b.m.AddLE(label("east-dst", k),
-				[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, b.c[e]), ilp.T(-bigM, ne)}, -dstGap)
-			b.m.AddLE(label("west-dst", k),
-				[]ilp.Term{ilp.T(1, b.c[e]), ilp.T(-1, b.c[k]), ilp.T(-bigM, nw)}, -dstGap)
+		if h.Src == meshroute.Anchor {
+			srcCol := int64(h.SrcCol)
+			// Eastbound (NE=0): srcCol + gap ≤ C_k.
+			b.m.AddLE(label("east-src", k),
+				[]ilp.Term{ilp.T(-1, b.c[k]), ilp.T(-bigM, ne)}, -gap-srcCol)
+			// Westbound (NW=0): C_k + gap ≤ srcCol.
+			b.m.AddLE(label("west-src", k),
+				[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-bigM, nw)}, srcCol-gap)
+		} else {
+			srcC := b.c[h.Src]
+			b.m.AddLE(label("east-src", k),
+				[]ilp.Term{ilp.T(1, srcC), ilp.T(-1, b.c[k]), ilp.T(-bigM, ne)}, -gap)
+			b.m.AddLE(label("west-src", k),
+				[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, srcC), ilp.T(-bigM, nw)}, -gap)
 		}
+	}
+	for _, k := range h.Obs {
+		if k == e {
+			continue
+		}
+		// Intermediates sit strictly before the sink.
+		b.m.AddLE(label("east-dst", k),
+			[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, b.c[e]), ilp.T(-bigM, ne)}, -1)
+		b.m.AddLE(label("west-dst", k),
+			[]ilp.Term{ilp.T(1, b.c[e]), ilp.T(-1, b.c[k]), ilp.T(-bigM, nw)}, -1)
 	}
 }
 
@@ -332,13 +336,12 @@ func (b *builder) addObjective() {
 
 // warmAssignment derives a complete assignment of the built model from a
 // known placement, for seeding the ILP incumbent (ilp.Options.WarmStart):
-// position variables from the placement, anchors at their fixed
-// coordinates, direction nullifiers from the relative source/sink
-// columns, one-hots and occupancy indicators from the occupied cells. The
-// solver re-verifies the seed with CheckFeasible, so a placement the
-// current observations contradict (a superset seed from a pattern that
-// diverged) is simply discarded there. Returns nil when the placement
-// does not fit the grid.
+// position variables from the placement, direction nullifiers from each
+// horizontal record's source/sink columns, one-hots and occupancy
+// indicators from the occupied cells. The solver re-verifies the seed
+// with CheckFeasible, so a placement the current observations contradict
+// (a superset seed from a pattern that diverged) is simply discarded
+// there. Returns nil when the placement does not fit the grid.
 func (b *builder) warmAssignment(pos []mesh.Coord) []int64 {
 	in := b.in
 	if len(pos) != in.NumCHA {
@@ -354,19 +357,9 @@ func (b *builder) warmAssignment(pos []mesh.Coord) []int64 {
 		vals[b.r[i]] = int64(p.Row)
 		vals[b.c[i]] = int64(p.Col)
 	}
-	for at, v := range b.anchors {
-		vals[v[0]] = int64(at.Row)
-		vals[v[1]] = int64(at.Col)
-	}
 	for _, d := range b.dirs {
-		var srcCol int
-		if d.obs.Anchored {
-			srcCol = in.IMCPositions[d.obs.SrcIMC].Col
-		} else {
-			srcCol = pos[d.obs.SrcCHA].Col
-		}
 		// Eastbound paths keep the east rows active (NE = 0, NW = 1).
-		if pos[d.obs.DstCHA].Col > srcCol {
+		if d.h.Eastbound(pos) {
 			vals[d.nw] = 1
 		} else {
 			vals[d.ne] = 1
@@ -437,12 +430,8 @@ func Reconstruct(ctx context.Context, in Input, opts Options) (*Map, error) {
 	if in.NumCHA <= 0 || in.Rows <= 0 || in.Cols <= 0 {
 		return nil, cmerr.New(cmerr.Permanent, "locate", "invalid input %d CHAs on %dx%d", in.NumCHA, in.Rows, in.Cols)
 	}
-	for _, o := range in.Observations {
-		if o.Anchored && (o.SrcIMC < 0 || o.SrcIMC >= len(in.IMCPositions)) {
-			return nil, cmerr.New(cmerr.Permanent, "locate",
-				"anchored observation references IMC %d but only %d positions are known",
-				o.SrcIMC, len(in.IMCPositions))
-		}
+	if err := checkRefs(in); err != nil {
+		return nil, err
 	}
 	if opts.Cache != nil {
 		return opts.Cache.reconstruct(ctx, in, opts)
@@ -450,23 +439,38 @@ func Reconstruct(ctx context.Context, in Input, opts Options) (*Map, error) {
 	return reconstruct(ctx, in, opts, nil)
 }
 
-// rawConstraintCount is the number of observation constraints an
-// unpruned build (Options.NoPrune) would emit, mirroring addObservation:
-// three per vertical observer, a direction one-hot per horizontal path,
-// and three or five per horizontal observer. Reported next to the built
-// model's actual count so telemetry shows what dominance pruning saved.
+// checkRefs rejects an observation that references a CHA or IMC outside
+// the problem, naming the observation.
+func checkRefs(in Input) error {
+	for i, o := range in.Observations {
+		if err := o.Check(in.NumCHA, len(in.IMCPositions)); err != nil {
+			return cmerr.New(cmerr.Permanent, "locate", "observation %d (%d→%d): %v",
+				i, o.SrcCHA, o.DstCHA, err)
+		}
+	}
+	return nil
+}
+
+// rawConstraintCount is the number of observation constraints before
+// dominance pruning: every fact of every observation's encoding, plus
+// the big-M rows of each horizontal record — the direction one-hot, two
+// source bounds per observer and two sink bounds per observer other than
+// the sink. Reported next to the built model's actual count so telemetry
+// shows what dominance pruning saved.
 func rawConstraintCount(in Input) int64 {
 	var n int64
+	var facts []meshroute.Fact
 	for _, o := range in.Observations {
-		n += int64(3 * (len(o.Up) + len(o.Down)))
-		if len(o.Horz) == 0 {
-			continue
+		var h meshroute.Horz
+		facts, h = meshroute.Encode(facts[:0], o, in.IMCPositions, false)
+		n += int64(len(facts))
+		if len(h.Obs) > 0 {
+			n++
 		}
-		n++ // NE/NW one-hot
-		for _, k := range o.Horz {
-			n += 3 // row alignment + east/west source bounds
-			if k != o.DstCHA {
-				n += 2 // east/west intermediate bounds
+		for _, k := range h.Obs {
+			n += 2
+			if k != h.Dst {
+				n += 2
 			}
 		}
 	}

@@ -1,136 +1,89 @@
 package locate
 
 import (
-	"fmt"
 	"sort"
 
-	"coremap/internal/ilp"
-	"coremap/internal/probe"
+	"coremap/internal/topo/meshroute"
 )
 
 // Observation-dominance pruning. The O(n²) ordered-pair sweep of the
-// probe emits heavily overlapping bounding-box constraints: every tile
-// between a source and sink observes *every* experiment crossing it, so
-// the same "R_s is strictly above R_k" fact arrives once per sink behind
-// k, and chains of vertical orderings arrive with all O(L²) pairwise
-// shortcuts even though the L-1 consecutive links imply the rest. This
-// file canonicalizes the vertical constraint system into a
-// difference-constraint graph (R_x - R_y ≥ gap), deduplicates parallel
-// edges by keeping only the tightest gap, and performs a greedy
-// transitive reduction: an edge is dropped when two kept edges through an
-// intermediate node already imply it (difference constraints compose by
-// adding gaps, so the drop is sound; processing edges in a fixed order
-// against the currently-kept set makes the reduction deterministic and —
-// by reverse induction over the drop sequence — keeps every dropped edge
-// implied by the final kept set).
+// probe emits heavily overlapping facts: every tile between a source and
+// sink observes *every* experiment crossing it, so the same "R_s is
+// strictly above R_k" fact arrives once per sink behind k, and chains of
+// vertical orderings arrive with all O(L²) pairwise shortcuts even though
+// the L-1 consecutive links imply the rest. This file reads the
+// meshroute.Encode facts of every observation as a difference-constraint
+// graph (R_x - R_y ≥ gap), deduplicates parallel edges by keeping only
+// the tightest gap, and performs a greedy transitive reduction: an edge
+// is dropped when two kept edges through an intermediate node already
+// imply it (difference constraints compose by adding gaps, so the drop is
+// sound; processing edges in a fixed order against the currently-kept
+// set makes the reduction deterministic and — by reverse induction over
+// the drop sequence — keeps every dropped edge implied by the final kept
+// set).
 //
-// Anchored observations have constant source coordinates, so their
-// vertical constraints collapse to variable bounds (R_k ≤ row-1 for
-// up-ingress observers, R_k ≥ row+1 for down) and their column
-// alignments to fixed values — no anchor variables are created at all in
-// pruned mode. The equality alignments (observer column = source column,
-// observer row = sink row) are deduplicated to one constraint per
-// variable pair. Horizontal bounding boxes keep their per-path big-M
-// guards (each path owns its NE/NW direction variables), but the sink's
-// own source-side bounds are dropped when another observer on the path
-// dominates them by composition.
+// Anchored facts carry the memory controller's coordinate as a constant,
+// so they collapse to one variable bound per CHA (the tightest R_k ≤
+// row-1 for up-ingress observers, R_k ≥ row+1 for down) and column fixes.
+// The equality alignments (observer column = source column, observer row
+// = sink row) are deduplicated to one constraint per variable pair.
+// Horizontal records keep their per-path big-M guards (each path owns its
+// NE/NW direction variables), but the sink's own source-side bounds are
+// dropped when another observer on the path dominates them by
+// composition (addHorz).
 //
 // The pruned and unpruned models are logically equivalent over the
 // shared variables, and the row/column variables are created before any
 // per-observation variable, so the solver's lexicographic tie-break
 // yields byte-identical Map.Pos either way (pinned by TestPruneInvariant).
 
-// diffEdge is one difference constraint R_x - R_y ≥ gap between the row
-// variables of CHAs x and y.
-type diffEdge struct {
-	x, y int
-	gap  int64
-}
-
-// varFix is a single-variable bound or fix.
-type varFix struct {
-	v   int
-	val int64
-}
-
-// prunePlan is the reduced vertical/alignment constraint system.
+// prunePlan is the dominance-reduced fact system of an input.
 type prunePlan struct {
-	colEq  [][2]int // C_a = C_b, a < b
-	rowEq  [][2]int // R_a = R_b, a < b
-	colFix []varFix // C_v = val (anchored alignment)
-	rowLo  []varFix // R_v ≥ val (anchored down-ingress)
-	rowHi  []varFix // R_v ≤ val (anchored up-ingress)
-	edges  []diffEdge
-	// raw and kept count the vertical/alignment constraints before and
-	// after reduction (duplicates included in raw).
+	// facts is the reduced system in emission order: column equalities,
+	// row equalities, anchored column fixes, anchored row lower bounds,
+	// anchored row upper bounds, then row difference edges, each group
+	// sorted by CHA.
+	facts []meshroute.Fact
+	// raw and kept count the facts before and after reduction
+	// (duplicates included in raw).
 	raw, kept int
 }
 
-// newPrunePlan canonicalizes and reduces the vertical constraint system
-// of every observation.
+// newPrunePlan encodes every observation and reduces the facts: trivial
+// ones dropped, equalities deduplicated, anchored bounds tightened to one
+// per CHA, difference edges deduplicated to the tightest gap and then
+// transitively reduced.
 func newPrunePlan(in Input) *prunePlan {
 	pl := &prunePlan{}
-	colEq := map[[2]int]bool{}
-	rowEq := map[[2]int]bool{}
-	colFix := map[varFix]bool{}
-	rowLo := map[int]int64{}
-	rowHi := map[int]int64{}
-	edges := map[[2]int]int64{}
-
-	pair := func(a, b int) [2]int {
-		if a > b {
-			a, b = b, a
-		}
-		return [2]int{a, b}
-	}
-	addEdge := func(x, y int, gap int64) {
-		pl.raw++
-		k := [2]int{x, y}
-		if g, ok := edges[k]; !ok || gap > g {
-			edges[k] = gap
-		}
-	}
-
+	eqs := map[meshroute.Fact]bool{}
+	lo := map[int]int{}       // R_v ≥ lo[v] (anchored down-ingress)
+	hi := map[int]int{}       // R_v ≤ hi[v] (anchored up-ingress)
+	edges := map[[2]int]int{} // R_x − R_y ≥ edges[{x, y}]
+	var facts []meshroute.Fact
 	for _, o := range in.Observations {
-		e := o.DstCHA
-		var srcRow, srcCol int
-		if o.Anchored {
-			pos := in.IMCPositions[o.SrcIMC]
-			srcRow, srcCol = pos.Row, pos.Col
-		}
-		for _, k := range o.Up {
-			pl.raw++
-			if o.Anchored {
-				colFix[varFix{k, int64(srcCol)}] = true
-				pl.raw++
-				// R_src > R_k with constant source row.
-				if hi, ok := rowHi[k]; !ok || int64(srcRow)-1 < hi {
-					rowHi[k] = int64(srcRow) - 1
+		facts, _ = meshroute.Encode(facts[:0], o, in.IMCPositions, false)
+		pl.raw += len(facts)
+		for _, f := range facts {
+			switch {
+			case f.Trivial():
+			case f.Kind != meshroute.RowGE:
+				if f.B != meshroute.Anchor && f.A > f.B {
+					f.A, f.B = f.B, f.A
 				}
-			} else {
-				colEq[pair(k, o.SrcCHA)] = true
-				addEdge(o.SrcCHA, k, 1)
-			}
-			addEdge(k, e, 0)
-		}
-		for _, k := range o.Down {
-			pl.raw++
-			if o.Anchored {
-				colFix[varFix{k, int64(srcCol)}] = true
-				pl.raw++
-				if lo, ok := rowLo[k]; !ok || int64(srcRow)+1 > lo {
-					rowLo[k] = int64(srcRow) + 1
+				eqs[f] = true
+			case f.A == meshroute.Anchor:
+				if v, ok := hi[f.B]; !ok || f.K-f.Gap < v {
+					hi[f.B] = f.K - f.Gap
 				}
-			} else {
-				colEq[pair(k, o.SrcCHA)] = true
-				addEdge(k, o.SrcCHA, 1)
-			}
-			addEdge(e, k, 0)
-		}
-		for _, k := range o.Horz {
-			pl.raw++
-			if k != e {
-				rowEq[pair(k, e)] = true
+			case f.B == meshroute.Anchor:
+				if v, ok := lo[f.A]; !ok || f.K+f.Gap > v {
+					lo[f.A] = f.K + f.Gap
+				}
+			default:
+				k := [2]int{f.A, f.B}
+				if g, ok := edges[k]; !ok || f.Gap > g {
+					edges[k] = f.Gap
+				}
 			}
 		}
 	}
@@ -151,10 +104,6 @@ func newPrunePlan(in Input) *prunePlan {
 	})
 	for _, k := range keys {
 		g := edges[k]
-		if k[0] == k[1] && g <= 0 {
-			delete(edges, k) // trivially true self-loop
-			continue
-		}
 		for m := 0; m < in.NumCHA; m++ {
 			if m == k[0] || m == k[1] {
 				continue
@@ -168,148 +117,62 @@ func newPrunePlan(in Input) *prunePlan {
 		}
 	}
 
-	// Flatten into deterministic slices.
-	for k := range colEq {
-		pl.colEq = append(pl.colEq, k)
+	// Flatten into one deterministic slice.
+	for f := range eqs {
+		pl.facts = append(pl.facts, f)
 	}
-	sortPairs(pl.colEq)
-	for k := range rowEq {
-		pl.rowEq = append(pl.rowEq, k)
+	for v, val := range lo {
+		pl.facts = append(pl.facts, meshroute.Fact{Kind: meshroute.RowGE, A: v, B: meshroute.Anchor, K: val})
 	}
-	sortPairs(pl.rowEq)
-	for f := range colFix {
-		pl.colFix = append(pl.colFix, f)
+	for v, val := range hi {
+		pl.facts = append(pl.facts, meshroute.Fact{Kind: meshroute.RowGE, A: meshroute.Anchor, B: v, K: val})
 	}
-	sortFixes(pl.colFix)
-	for v, val := range rowLo {
-		pl.rowLo = append(pl.rowLo, varFix{v, val})
+	for k, g := range edges {
+		pl.facts = append(pl.facts, meshroute.Fact{Kind: meshroute.RowGE, A: k[0], B: k[1], Gap: g})
 	}
-	sortFixes(pl.rowLo)
-	for v, val := range rowHi {
-		pl.rowHi = append(pl.rowHi, varFix{v, val})
-	}
-	sortFixes(pl.rowHi)
-	for _, k := range keys {
-		if g, ok := edges[k]; ok {
-			pl.edges = append(pl.edges, diffEdge{x: k[0], y: k[1], gap: g})
+	sort.Slice(pl.facts, func(i, j int) bool {
+		a, b := pl.facts[i], pl.facts[j]
+		if ga, gb := group(a), group(b); ga != gb {
+			return ga < gb
 		}
-	}
-	pl.kept = len(pl.colEq) + len(pl.rowEq) + len(pl.colFix) +
-		len(pl.rowLo) + len(pl.rowHi) + len(pl.edges)
+		if a.A != b.A {
+			return a.A < b.A
+		}
+		if a.B != b.B {
+			return a.B < b.B
+		}
+		return a.K < b.K
+	})
+	pl.kept = len(pl.facts)
 	return pl
 }
 
-func sortPairs(s [][2]int) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i][0] != s[j][0] {
-			return s[i][0] < s[j][0]
-		}
-		return s[i][1] < s[j][1]
-	})
+// group is a reduced fact's position in the emission order.
+func group(f meshroute.Fact) int {
+	switch {
+	case f.Kind == meshroute.ColEq && f.B != meshroute.Anchor:
+		return 0
+	case f.Kind == meshroute.RowEq:
+		return 1
+	case f.Kind == meshroute.ColEq:
+		return 2
+	case f.B == meshroute.Anchor:
+		return 3
+	case f.A == meshroute.Anchor:
+		return 4
+	}
+	return 5
 }
 
-func sortFixes(s []varFix) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].v != s[j].v {
-			return s[i].v < s[j].v
-		}
-		return s[i].val < s[j].val
-	})
-}
-
-// addPruned emits the dominance-reduced constraint system: the plan's
-// vertical/alignment constraints once each, then the per-path horizontal
-// boxes (which keep their own direction guards).
-func (b *builder) addPruned(paperBounds bool) *prunePlan {
-	pl := newPrunePlan(b.in)
-	for _, p := range pl.colEq {
-		b.m.AddEq(fmt.Sprintf("col C%d=C%d", p[0], p[1]),
-			[]ilp.Term{ilp.T(1, b.c[p[0]]), ilp.T(-1, b.c[p[1]])}, 0)
-	}
-	for _, p := range pl.rowEq {
-		b.m.AddEq(fmt.Sprintf("row R%d=R%d", p[0], p[1]),
-			[]ilp.Term{ilp.T(1, b.r[p[0]]), ilp.T(-1, b.r[p[1]])}, 0)
-	}
-	for _, f := range pl.colFix {
-		b.m.AddEq(fmt.Sprintf("anchor C%d", f.v), []ilp.Term{ilp.T(1, b.c[f.v])}, f.val)
-	}
-	for _, f := range pl.rowLo {
-		b.m.AddGE(fmt.Sprintf("anchor R%d lo", f.v), []ilp.Term{ilp.T(1, b.r[f.v])}, f.val)
-	}
-	for _, f := range pl.rowHi {
-		b.m.AddLE(fmt.Sprintf("anchor R%d hi", f.v), []ilp.Term{ilp.T(1, b.r[f.v])}, f.val)
-	}
-	for _, e := range pl.edges {
-		b.m.AddGE(fmt.Sprintf("vdiff R%d-R%d>=%d", e.x, e.y, e.gap),
-			[]ilp.Term{ilp.T(1, b.r[e.x]), ilp.T(-1, b.r[e.y])}, e.gap)
+// addPruned emits the dominance-reduced fact system once, then each
+// observation's horizontal record with the sink-bound skip.
+func (b *builder) addPruned(paperBounds bool) {
+	for _, f := range newPrunePlan(b.in).facts {
+		f.AddTo(b.m, b.r, b.c)
 	}
 	for p, o := range b.in.Observations {
-		b.addHorzPruned(p, o, paperBounds)
-	}
-	return pl
-}
-
-// addHorzPruned emits one path's horizontal bounding boxes. Alignment
-// equalities are already in the plan; anchored sources fold their
-// constant column into the right-hand side; and the sink's own
-// source-side bounds are skipped when another observer dominates them by
-// composition (src-bound(k) + dst-bound(k) imply src-bound(sink) under
-// the shared direction guard, since bigM exceeds any column difference).
-func (b *builder) addHorzPruned(p int, o probe.Observation, paperBounds bool) {
-	if len(o.Horz) == 0 {
-		return
-	}
-	e := o.DstCHA
-	label := func(kind string, k int) string {
-		return b.pathLabel(p, o.SrcCHA, e, kind, k)
-	}
-	ne := b.m.NewBinary(b.nameIdx("NE", p))
-	nw := b.m.NewBinary(b.nameIdx("NW", p))
-	b.dirs = append(b.dirs, pathDir{ne: ne, nw: nw, obs: o})
-	b.m.AddEq(label("dir", 0), []ilp.Term{ilp.T(1, ne), ilp.T(1, nw)}, 1)
-
-	srcGap, dstGap := int64(1), int64(1)
-	if paperBounds {
-		srcGap = 0
-	}
-	// The sink's source-side bounds are dominated whenever any other
-	// observer sits on the path (and the grid fits inside bigM).
-	hasOther := false
-	for _, k := range o.Horz {
-		if k != e {
-			hasOther = true
-			break
-		}
-	}
-	skipSinkSrc := hasOther && int64(b.in.Cols) <= bigM
-
-	for _, k := range o.Horz {
-		if k == e && skipSinkSrc {
-			continue
-		}
-		if o.Anchored {
-			srcCol := int64(b.in.IMCPositions[o.SrcIMC].Col)
-			// Eastbound (NE=0): srcCol + srcGap ≤ C_k.
-			b.m.AddLE(label("east-src", k),
-				[]ilp.Term{ilp.T(-1, b.c[k]), ilp.T(-bigM, ne)}, -srcGap-srcCol)
-			// Westbound (NW=0): C_k + srcGap ≤ srcCol.
-			b.m.AddLE(label("west-src", k),
-				[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-bigM, nw)}, srcCol-srcGap)
-		} else {
-			srcC := b.c[o.SrcCHA]
-			b.m.AddLE(label("east-src", k),
-				[]ilp.Term{ilp.T(1, srcC), ilp.T(-1, b.c[k]), ilp.T(-bigM, ne)}, -srcGap)
-			b.m.AddLE(label("west-src", k),
-				[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, srcC), ilp.T(-bigM, nw)}, -srcGap)
-		}
-	}
-	for _, k := range o.Horz {
-		if k == e {
-			continue
-		}
-		b.m.AddLE(label("east-dst", k),
-			[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, b.c[e]), ilp.T(-bigM, ne)}, -dstGap)
-		b.m.AddLE(label("west-dst", k),
-			[]ilp.Term{ilp.T(1, b.c[e]), ilp.T(-1, b.c[k]), ilp.T(-bigM, nw)}, -dstGap)
+		var h meshroute.Horz
+		b.facts, h = meshroute.Encode(b.facts[:0], o, b.in.IMCPositions, paperBounds)
+		b.addHorz(p, &h, true)
 	}
 }

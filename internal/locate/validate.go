@@ -19,29 +19,17 @@ func Validate(in Input, pos []mesh.Coord) error {
 	if len(pos) != in.NumCHA {
 		return cmerr.New(cmerr.Permanent, "locate", "placement has %d tiles, expected %d", len(pos), in.NumCHA)
 	}
-	at := func(cha int) (mesh.Coord, error) {
-		if cha < 0 || cha >= len(pos) {
-			return mesh.Coord{}, cmerr.New(cmerr.Permanent, "locate", "observation references CHA %d", cha)
-		}
-		return pos[cha], nil
+	if err := checkRefs(in); err != nil {
+		return err
 	}
 	for i, o := range in.Observations {
 		var src mesh.Coord
 		if o.Anchored {
-			if o.SrcIMC < 0 || o.SrcIMC >= len(in.IMCPositions) {
-				return cmerr.New(cmerr.Permanent, "locate", "observation %d references unknown IMC %d", i, o.SrcIMC)
-			}
 			src = in.IMCPositions[o.SrcIMC]
 		} else {
-			var err error
-			if src, err = at(o.SrcCHA); err != nil {
-				return err
-			}
+			src = pos[o.SrcCHA]
 		}
-		dst, err := at(o.DstCHA)
-		if err != nil {
-			return err
-		}
+		dst := pos[o.DstCHA]
 		if err := validatePath(o, src, dst, pos); err != nil {
 			return fmt.Errorf("locate: observation %d (%d→%d): %w", i, o.SrcCHA, o.DstCHA, err)
 		}

@@ -5,37 +5,25 @@ package plan
 // packing objective — none of which the planner needs: enumeration asks
 // "which placements are possible", and multiplying every placement by
 // its auxiliary-binary completions would wreck the projection walk. So
-// the planner builds a lean mirror with only the 2n row/column position
-// variables and the binary-free constraint rows, and pushes the two
-// non-linear conditions — all-distinct tile occupancy and the
-// horizontal direction disjunction — into ilp.Enumerate's Prune/Accept
-// hooks, where they are cheap to test on concrete coordinates.
-//
-// The rows must stay in lockstep with locate.addObservation (and with
-// consistent in predict.go, which is the same encoding evaluated on a
-// concrete placement).
+// the planner lowers only the linear facts of meshroute.Encode to rows
+// over the 2n row/column position variables, and pushes the two
+// non-linear conditions — all-distinct tile occupancy and each
+// observation's horizontal-direction record — into ilp.Enumerate's
+// Prune/Accept hooks, where they are cheap to test on concrete
+// coordinates.
 
 import (
 	"coremap/internal/ilp"
 	"coremap/internal/mesh"
+	"coremap/internal/topo/meshroute"
 )
-
-// horzObs is the Accept/Prune-side residue of one observation: the
-// horizontal direction disjunction locate encodes with big-M binaries.
-type horzObs struct {
-	anchored bool
-	src      mesh.Coord // source coordinate when anchored
-	srcCHA   int        // source CHA when not anchored
-	dstCHA   int
-	horz     []int
-}
 
 // buildModel translates the observations collected so far into an ILP
 // over the CHA position variables. It returns the model, the projection
 // (r0, c0, r1, c1, … — decode with coordAt), and the branch order
 // (c0, r0, c1, r1, … — columns first, mirroring locate.branchOrder so
 // the enumeration walks the tree in the solver's canonical shape). As a
-// side effect it rebuilds pl.horzObs for the Accept/Prune closures.
+// side effect it rebuilds pl.horz for the Accept/Prune closures.
 func (pl *Planner) buildModel() (m *ilp.Model, project, branch []ilp.Var) {
 	m = ilp.NewModel()
 	n := pl.numCHA
@@ -49,60 +37,18 @@ func (pl *Planner) buildModel() (m *ilp.Model, project, branch []ilp.Var) {
 		project = append(project, r[k], c[k])
 		branch = append(branch, c[k], r[k])
 	}
-	pl.horzObs = pl.horzObs[:0]
+	pl.horz = pl.horz[:0]
 	for _, o := range pl.observations {
-		e := o.DstCHA
-		if o.Anchored {
-			// Source coordinates are known constants; fold them into
-			// single-variable rows instead of referencing fixed vars.
-			src := pl.opts.IMCPositions[o.SrcIMC]
-			for _, k := range o.Up {
-				m.AddEq("up-col", []ilp.Term{ilp.T(1, c[k])}, int64(src.Col))
-				m.AddLE("up-src", []ilp.Term{ilp.T(1, r[k])}, int64(src.Row)-1)
-				m.AddGE("up-dst", []ilp.Term{ilp.T(1, r[k]), ilp.T(-1, r[e])}, 0)
-			}
-			for _, k := range o.Down {
-				m.AddEq("dn-col", []ilp.Term{ilp.T(1, c[k])}, int64(src.Col))
-				m.AddGE("dn-src", []ilp.Term{ilp.T(1, r[k])}, int64(src.Row)+1)
-				m.AddGE("dn-dst", []ilp.Term{ilp.T(1, r[e]), ilp.T(-1, r[k])}, 0)
-			}
-		} else {
-			s := o.SrcCHA
-			for _, k := range o.Up {
-				m.AddEq("up-col", []ilp.Term{ilp.T(1, c[k]), ilp.T(-1, c[s])}, 0)
-				m.AddGE("up-src", []ilp.Term{ilp.T(1, r[s]), ilp.T(-1, r[k])}, 1)
-				m.AddGE("up-dst", []ilp.Term{ilp.T(1, r[k]), ilp.T(-1, r[e])}, 0)
-			}
-			for _, k := range o.Down {
-				m.AddEq("dn-col", []ilp.Term{ilp.T(1, c[k]), ilp.T(-1, c[s])}, 0)
-				m.AddGE("dn-src", []ilp.Term{ilp.T(1, r[k]), ilp.T(-1, r[s])}, 1)
-				m.AddGE("dn-dst", []ilp.Term{ilp.T(1, r[e]), ilp.T(-1, r[k])}, 0)
-			}
+		var h meshroute.Horz
+		pl.facts, h = meshroute.Encode(pl.facts[:0], o, pl.opts.IMCPositions, pl.opts.PaperExactBounds)
+		for _, f := range pl.facts {
+			f.AddTo(m, r, c)
 		}
-		for _, k := range o.Horz {
-			if k == e {
-				continue
-			}
-			m.AddEq("hz-row", []ilp.Term{ilp.T(1, r[k]), ilp.T(-1, r[e])}, 0)
-		}
-		if len(o.Horz) > 0 {
-			pl.horzObs = append(pl.horzObs, horzObs{
-				anchored: o.Anchored,
-				src:      pl.srcConst(o),
-				srcCHA:   o.SrcCHA,
-				dstCHA:   e,
-				horz:     o.Horz,
-			})
+		if len(h.Obs) > 0 {
+			pl.horz = append(pl.horz, h)
 		}
 	}
 	return m, project, branch
-}
-
-func (pl *Planner) srcConst(o Observation) mesh.Coord {
-	if o.Anchored {
-		return pl.opts.IMCPositions[o.SrcIMC]
-	}
-	return mesh.Coord{}
 }
 
 // coordAt decodes CHA k from an enumeration projection.
@@ -129,14 +75,8 @@ func (pl *Planner) accept(proj []int64) bool {
 		}
 		pl.cellMark[cell] = pl.cellEpoch
 	}
-	for i := range pl.horzObs {
-		h := &pl.horzObs[i]
-		src := h.src
-		if !h.anchored {
-			src = coords[h.srcCHA]
-		}
-		if !horzFeasible(src, coords[h.dstCHA], h.horz, h.dstCHA, pl.srcGap(),
-			func(k int) mesh.Coord { return coords[k] }) {
+	for i := range pl.horz {
+		if !pl.horz[i].Holds(coords) {
 			return false
 		}
 	}
@@ -168,30 +108,18 @@ func (pl *Planner) prune(vals []int64, fixed []bool) bool {
 		}
 		pl.cellMark[cell] = pl.cellEpoch
 	}
-	for i := range pl.horzObs {
-		h := &pl.horzObs[i]
-		if !h.anchored && !placed[h.srcCHA] {
+horz:
+	for i := range pl.horz {
+		h := &pl.horz[i]
+		if (h.Src != meshroute.Anchor && !placed[h.Src]) || !placed[h.Dst] {
 			continue
 		}
-		if !placed[h.dstCHA] {
-			continue
-		}
-		all := true
-		for _, k := range h.horz {
+		for _, k := range h.Obs {
 			if !placed[k] {
-				all = false
-				break
+				continue horz
 			}
 		}
-		if !all {
-			continue
-		}
-		src := h.src
-		if !h.anchored {
-			src = coords[h.srcCHA]
-		}
-		if !horzFeasible(src, coords[h.dstCHA], h.horz, h.dstCHA, pl.srcGap(),
-			func(k int) mesh.Coord { return coords[k] }) {
+		if !h.Holds(coords) {
 			return false
 		}
 	}

@@ -20,16 +20,19 @@
 //     model (Options.Predictor, defaulting to the mesh backend's
 //     Y-then-X dimension-order meshroute.Predictor), walked one route
 //     per survivor — used to partition survivors by predicted outcome;
-//   - a per-observation consistency check mirroring the constraint
-//     encoding of locate.addObservation, used to filter survivors
-//     incrementally as measurements arrive.
+//   - the mesh observation encoding (meshroute.Encode), the one
+//     description locate's ILP is built from: its facts become the lean
+//     model's rows, its horizontal records the enumeration's accept and
+//     prune filters, and its evaluator (meshroute.Holds) filters the
+//     survivors as measurements arrive.
 //
 // # Correctness contract
 //
 // Survivors are filtered by *constraint* consistency, never by predicted
-// equality: the locate encoding is necessary-but-not-sufficient (it does
-// not, for example, forbid on-path tiles missing from an observer list),
-// so the surviving set is always a superset of the final ILP's feasible
+// equality: the encoding is necessary-but-not-sufficient (it does not,
+// for example, forbid on-path tiles missing from an observer list), and
+// the planner and the reconstruction read the same encoding, so the
+// surviving set is always a superset of the final ILP's feasible
 // placements and can never exclude the exhaustive survey's optimum. The
 // convergence test — every unmeasured candidate's predicted observation
 // is identical across all survivors — then guarantees that measuring the
@@ -108,23 +111,13 @@ type Candidate struct {
 	SrcCPU, DstCPU int
 }
 
-// Observation is the planner's view of one completed experiment. It
-// mirrors probe.Observation field-for-field; the duplication is what
-// keeps the import graph acyclic (probe imports plan).
-type Observation struct {
-	SrcCHA, DstCHA int
-	Anchored       bool
-	SrcIMC         int
-	Up, Down, Horz []int
-}
-
 // Options configures a Planner.
 type Options struct {
 	// Rows and Cols are the die grid dimensions (required).
 	Rows, Cols int
 	// IMCPositions are the known memory-controller die coordinates,
-	// indexed by Candidate.IMC / Observation.SrcIMC. Each must lie on
-	// the grid.
+	// indexed by Candidate.IMC / meshroute.Observation.SrcIMC. Each must
+	// lie on the grid.
 	IMCPositions []mesh.Coord
 	// AmbiguityCap bounds the surviving-placement set the planner is
 	// willing to materialize: while more placements than this remain
@@ -139,15 +132,15 @@ type Options struct {
 	// next round; it never aborts the survey.
 	MaxNodes int
 	// PaperExactBounds must match the locate.Options.PaperExactBounds
-	// the reconstruction will use, so the planner's consistency check
-	// mirrors the solver's constraint encoding exactly.
+	// the reconstruction will use: both encode observations with
+	// meshroute.Encode, and this selects the same horizontal source gap.
 	PaperExactBounds bool
 	// Predictor is the topology backend's observation model the planner
 	// partitions survivors with. nil selects the mesh backend's
-	// meshroute.Predictor — the Y-then-X dimension-order model the
-	// pre-refactor planner computed in-package — which is the only
-	// predictor whose constraint mirror (consistent) matches
-	// locate.addObservation; other backends run their own surveys.
+	// meshroute.Predictor, the Y-then-X dimension-order model. The
+	// survivor filter and the enumeration model use the mesh encoding
+	// (meshroute.Encode) whatever the predictor, so other backends run
+	// their own surveys.
 	Predictor topo.Predictor
 }
 
@@ -215,7 +208,7 @@ type Planner struct {
 	cands  []Candidate
 	state  []candState
 
-	observations []Observation
+	observations []meshroute.Observation
 	// survivors is the materialized set of placements (CHA → coordinate)
 	// consistent with every observation so far; nil until the first
 	// complete enumeration. cells[i] is survivors[i] as a row-major
@@ -245,8 +238,12 @@ type Planner struct {
 	// a pivot star of fresh observations.
 	nextAttemptObs int
 
-	// horzObs is rebuilt by buildModel for the Accept/Prune closures.
-	horzObs []horzObs
+	// horz holds the horizontal records of the observations with
+	// horizontal observers; buildModel rebuilds it for accept and prune.
+	horz []meshroute.Horz
+
+	// facts is Encode's scratch, reused by buildModel and Observe.
+	facts []meshroute.Fact
 
 	// scratch reused across rounds.
 	projCoords []mesh.Coord
@@ -387,7 +384,7 @@ func (pl *Planner) issue(batch []int) []int {
 
 // Observe records a completed measurement for pool index ci and filters
 // the surviving placements against it.
-func (pl *Planner) Observe(ci int, o Observation) {
+func (pl *Planner) Observe(ci int, o meshroute.Observation) {
 	if pl.state[ci] == candMeasured || pl.state[ci] == candFailed {
 		return
 	}
@@ -397,9 +394,14 @@ func (pl *Planner) Observe(ci int, o Observation) {
 	if pl.survivors == nil {
 		return
 	}
+	// Survivors are filtered by constraint consistency with the
+	// observation's encoding, never by predicted-observation equality;
+	// see the package comment.
+	var h meshroute.Horz
+	pl.facts, h = meshroute.Encode(pl.facts[:0], o, pl.opts.IMCPositions, pl.opts.PaperExactBounds)
 	kept, keptCells := pl.survivors[:0], pl.cells[:0]
 	for i, p := range pl.survivors {
-		if pl.consistent(o, p) {
+		if meshroute.Holds(pl.facts, &h, p) {
 			kept = append(kept, p)
 			keptCells = append(keptCells, pl.cells[i])
 		}

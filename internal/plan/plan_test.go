@@ -2,10 +2,12 @@ package plan
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"coremap/internal/cmerr"
+	"coremap/internal/ilp"
 	"coremap/internal/mesh"
 	"coremap/internal/topo"
 	"coremap/internal/topo/meshroute"
@@ -44,9 +46,9 @@ func toyCandidates(n int) []Candidate {
 
 // trueObs computes the exact observation candidate c would produce under
 // the ground-truth placement.
-func trueObs(pl *Planner, c Candidate, truth []mesh.Coord) Observation {
+func trueObs(pl *Planner, c Candidate, truth []mesh.Coord) meshroute.Observation {
 	src, dst := pl.routeEndpoints(c, truth)
-	o := Observation{SrcCHA: c.SrcCHA, DstCHA: c.DstCHA}
+	o := meshroute.Observation{SrcCHA: c.SrcCHA, DstCHA: c.DstCHA}
 	if c.Kind == KindMemory {
 		o.Anchored = true
 		o.SrcIMC = c.IMC
@@ -149,20 +151,22 @@ func TestPlannerDeterministicBatches(t *testing.T) {
 }
 
 func TestPlannerObservationsFilterSurvivors(t *testing.T) {
-	// consistent must accept the truth's own observations and reject a
-	// placement that moves an observer off the constrained column.
+	// The survivor filter (the encoding's evaluator) must accept the
+	// truth's own observations and reject a placement that moves an
+	// observer off the constrained column.
 	pl, err := New(toyOptions(), len(toyTruth), toyCandidates(len(toyTruth)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := Candidate{Kind: KindMemory, SrcCHA: -1, DstCHA: 0, IMC: 0}
 	o := trueObs(pl, c, toyTruth)
-	if !pl.consistent(o, toyTruth) {
+	facts, h := meshroute.Encode(nil, o, pl.opts.IMCPositions, pl.opts.PaperExactBounds)
+	if !meshroute.Holds(facts, &h, toyTruth) {
 		t.Fatal("truth rejected by its own observation")
 	}
 	moved := append([]mesh.Coord(nil), toyTruth...)
 	moved[2] = mesh.Coord{Row: 1, Col: 2} // CHA 2 observes IMC→CHA0 on column 0
-	if pl.consistent(o, moved) {
+	if meshroute.Holds(facts, &h, moved) {
 		t.Fatal("off-column observer placement should be inconsistent")
 	}
 }
@@ -179,7 +183,7 @@ func TestPlannerFallbackOnContradiction(t *testing.T) {
 	}
 	// Answer the first candidate with an impossible observation: the same
 	// CHA both above and below the source.
-	pl.Observe(batch[0], Observation{SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 0, Up: []int{1}, Down: []int{1}})
+	pl.Observe(batch[0], meshroute.Observation{SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 0, Up: []int{1}, Down: []int{1}})
 	for _, ci := range batch[1:] {
 		pl.Fail(ci)
 	}
@@ -289,6 +293,113 @@ func TestKindOp(t *testing.T) {
 	for k, s := range want {
 		if k.Op() != s {
 			t.Errorf("Kind(%d).Op() = %q, want %q", k, k.Op(), s)
+		}
+	}
+}
+
+// TestLeanModelMatchesEncoding: the planner's enumeration filter — the
+// lean model's rows checked by ilp.CheckFeasible, plus accept — must
+// admit an all-distinct placement exactly when every observation's
+// meshroute encoding holds on it, under both bound settings. Surveys are
+// drawn on grids of up to 6×6 with true observations of a random subset
+// of the candidates; the placements tried are random, the column mirror
+// of the truth, or the truth with two CHAs swapped.
+func TestLeanModelMatchesEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		r, c := 1+rng.Intn(6), 1+rng.Intn(6)
+		cores, llcOnly, nIMC := 2+rng.Intn(6), rng.Intn(2), rng.Intn(3)
+		if cores+llcOnly+nIMC > r*c {
+			continue
+		}
+		var imcs []mesh.Coord
+		for _, i := range rng.Perm(r * c)[:nIMC] {
+			imcs = append(imcs, mesh.Coord{Row: i / c, Col: i % c})
+		}
+		s := drawSurvey(rng, r, c, cores, llcOnly, imcs)
+		for _, paper := range []bool{false, true} {
+			s.opts.PaperExactBounds = paper
+			pl, err := New(s.opts, len(s.truth), s.cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci := range s.cands {
+				if rng.Intn(3) == 0 {
+					pl.Observe(ci, trueObs(pl, s.cands[ci], s.truth))
+				}
+			}
+			m, _, _ := pl.buildModel()
+			for try := 0; try < 8; try++ {
+				q := append([]mesh.Coord(nil), s.truth...)
+				switch try % 3 {
+				case 0:
+					for i, cell := range rng.Perm(r * c)[:len(q)] {
+						q[i] = mesh.Coord{Row: cell / c, Col: cell % c}
+					}
+				case 1:
+					for i := range q {
+						q[i].Col = c - 1 - q[i].Col
+					}
+				default:
+					i, j := rng.Intn(len(q)), rng.Intn(len(q))
+					q[i], q[j] = q[j], q[i]
+				}
+				proj := make([]int64, 0, 2*len(q))
+				for _, p := range q {
+					proj = append(proj, int64(p.Row), int64(p.Col))
+				}
+				want := true
+				for _, o := range pl.observations {
+					facts, h := meshroute.Encode(nil, o, s.opts.IMCPositions, paper)
+					want = want && meshroute.Holds(facts, &h, q)
+				}
+				if got := ilp.CheckFeasible(m, proj) == nil && pl.accept(proj); got != want {
+					t.Fatalf("trial %d, paper bounds %v, placement %v: model admits %v, encoding %v",
+						trial, paper, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestHotPathsAllocationFree: once the survivors are materialized,
+// filtering them in Observe and the enumeration's accept and prune hooks
+// must not allocate.
+func TestHotPathsAllocationFree(t *testing.T) {
+	cands := toyCandidates(len(toyTruth))
+	pl, err := New(toyOptions(), len(toyTruth), cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pl.survivors == nil {
+		batch, err := pl.NextBatch(context.Background())
+		if err != nil || len(batch) == 0 {
+			t.Fatalf("survey ended before materializing: %v", err)
+		}
+		for _, ci := range batch {
+			pl.Observe(ci, trueObs(pl, pl.Candidate(ci), toyTruth))
+		}
+	}
+	pl.buildModel()
+	var proj []int64
+	fixed := make([]bool, 2*len(toyTruth))
+	for i, p := range toyTruth {
+		proj = append(proj, int64(p.Row), int64(p.Col))
+		fixed[2*i], fixed[2*i+1] = true, true
+	}
+	ci := len(cands) - 1
+	o := trueObs(pl, cands[ci], toyTruth)
+	n := len(pl.observations)
+	for name, f := range map[string]func(){
+		"Observe": func() {
+			pl.state[ci], pl.observations = candPending, pl.observations[:n]
+			pl.Observe(ci, o)
+		},
+		"accept": func() { pl.accept(proj) },
+		"prune":  func() { pl.prune(proj, fixed) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
 		}
 	}
 }

@@ -176,7 +176,7 @@ func (r *Result) clone() *Result {
 	if r.Observations != nil {
 		out.Observations = make([]Observation, len(r.Observations))
 		for i, o := range r.Observations {
-			out.Observations[i] = o.clone()
+			out.Observations[i] = cloneObservation(o)
 		}
 	}
 	if r.Failures != nil {
@@ -186,7 +186,7 @@ func (r *Result) clone() *Result {
 }
 
 // clone deep-copies one observation.
-func (o Observation) clone() Observation {
+func cloneObservation(o Observation) Observation {
 	o.Up = append([]int(nil), o.Up...)
 	o.Down = append([]int(nil), o.Down...)
 	o.Horz = append([]int(nil), o.Horz...)

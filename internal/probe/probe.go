@@ -43,6 +43,7 @@ import (
 	"coremap/internal/plan"
 	"coremap/internal/pmon"
 	"coremap/internal/pool"
+	"coremap/internal/topo/meshroute"
 )
 
 // ctrScratch pools the per-sweep PMON counter buffers (one uint64 per CHA).
@@ -150,23 +151,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Observation is the monitored result of one inter-tile traffic
-// experiment: the CHAs whose ingress counters crossed the threshold,
-// classified by channel. Horizontal left/right arrivals are merged — the
-// odd-column tile mirroring makes the physical direction unknowable.
-type Observation struct {
-	// SrcCHA and DstCHA identify the experiment endpoints by CHA ID.
-	// For memory-anchored observations SrcCHA is unused (-1).
-	SrcCHA, DstCHA int
-	// Anchored marks a memory-traffic observation whose source is the
-	// integrated memory controller SrcIMC — a tile at a publicly known
-	// die position, which pins the reconstruction in absolute
-	// coordinates.
-	Anchored bool
-	SrcIMC   int
-	// Up, Down and Horz list the CHA IDs that observed ingress of each
-	// class, in ascending order.
-	Up, Down, Horz []int
-}
+// experiment. It is the mesh backend's observation type, so the planner
+// and the reconstruction read the probe's output without conversion.
+type Observation = meshroute.Observation
 
 // Failure records one permanently failed unit of measurement work: a
 // step-1 core mapping that could not be established, or a step-2
@@ -1371,7 +1358,7 @@ func (p *Prober) runPlanned(ppin uint64, ro RunOptions) (*Result, error) {
 				return nil, err
 			}
 			if done {
-				pm.Observe(ci, planObservation(res.Observations[len(res.Observations)-1]))
+				pm.Observe(ci, res.Observations[len(res.Observations)-1])
 			} else {
 				pm.Fail(ci)
 			}
@@ -1422,16 +1409,6 @@ func (p *Prober) runCandidate(experiment expFunc, c plan.Candidate, ro RunOption
 			func() (Observation, error) { return p.measureMemoryTraffic(c.DstCPU, c.DstCHA, c.IMC, ro.NumIMCs) })
 	}
 	return false, cmerr.New(cmerr.Permanent, stage, "unknown candidate kind %d", c.Kind)
-}
-
-// planObservation converts a recorded observation into the planner's
-// mirror type. The observer slices are shared read-only.
-func planObservation(o Observation) plan.Observation {
-	return plan.Observation{
-		SrcCHA: o.SrcCHA, DstCHA: o.DstCHA,
-		Anchored: o.Anchored, SrcIMC: o.SrcIMC,
-		Up: o.Up, Down: o.Down, Horz: o.Horz,
-	}
 }
 
 // runStep1 is mapCoresToCHAs routed through the step-1 cache when one is

@@ -6,6 +6,11 @@
 // the planner once carried, which keeps its predictKey byte keys — and
 // therefore the planned surveys — byte-identical to the pre-refactor
 // pipeline.
+//
+// Encode (encode.go) is the mesh observation semantics in one place: the
+// linear facts and the horizontal-direction record an Observation
+// implies about the placement. locate's ILP, the planner's enumeration
+// model and the planner's survivor filter all derive from it.
 package meshroute
 
 import (
