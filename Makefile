@@ -15,10 +15,12 @@ test:
 
 # Race-check the concurrent parts of the tree: the parallel ILP solver,
 # the survey worker pools, the covert-channel harness, the topology
-# backends and the adaptive planner — plus the goroutine-leak check over
-# cancelled solves (mirrors the CI race job).
+# backends, the adaptive planner, the telemetry substrate, the probe's
+# host-op decorator (cancels and retry backoffs racing host operations)
+# and the fault injector's shared PRNG — plus the goroutine-leak check
+# over cancelled solves (mirrors the CI race job).
 race:
-	go test -race ./internal/ilp/ ./internal/experiments/ ./internal/covert/ ./internal/topo/... ./internal/plan/ ./internal/obs/ -timeout 1800s
+	go test -race ./internal/ilp/ ./internal/experiments/ ./internal/covert/ ./internal/topo/... ./internal/plan/ ./internal/obs/ ./internal/probe/ ./internal/faulty/ -timeout 1800s
 	go test -race -run 'TestSolveCancel|TestMapMachineCancel' -count=1 ./internal/ilp/ . -timeout 300s
 
 # Mirrors the CI fuzz job: 30 s of FuzzSolveBruteForce, the ILP solver

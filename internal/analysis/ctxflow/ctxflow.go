@@ -21,8 +21,9 @@
 //     platform, monitor or host-like boundary, i.e. the calls that can
 //     block or measure — must observe cancellation: by referencing the context (ctx.Err, select on
 //     ctx.Done, passing ctx along) or by operating through a
-//     hostif.Host/HostCtx value, whose Bind/WithContext decorators check
-//     the context on every operation. Loops over in-memory data (decode
+//     hostif.Host value, whose raw operations hostsafe confines to the
+//     packages behind the probe's host-op decorator, which checks the
+//     context before every operation. Loops over in-memory data (decode
 //     passes, model building, report printing) are pure computation on
 //     the caller's schedule and stay legal however long they run — the
 //     pipeline cancels at operation boundaries, not mid-arithmetic.
@@ -190,7 +191,7 @@ func checkLoops(pass *analysis.Pass, fd *ast.FuncDecl) {
 		default:
 			return true
 		}
-		if callsBoundHost(pass, body) {
+		if callsHost(pass, body) {
 			return false // every host op is a cancellation point
 		}
 		op := interfaceDispatch(pass, body)
@@ -201,7 +202,7 @@ func checkLoops(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return false // this loop observes ctx; inner loops inherit that
 		}
 		pass.Reportf(n.Pos(),
-			"loop dispatches %s through an interface but never observes cancellation: check ctx.Err() (or pass ctx / use a Bind-decorated host) inside the loop",
+			"loop dispatches %s through an interface but never observes cancellation: check ctx.Err() (or pass ctx along) inside the loop",
 			op)
 		return false
 	})
@@ -281,10 +282,10 @@ func usesAnyContext(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	return found
 }
 
-// callsBoundHost reports whether the body calls a method on a
-// hostif.Host or hostif.HostCtx value; the pipeline's Bind/WithContext
-// decorators make every such operation a cancellation point.
-func callsBoundHost(pass *analysis.Pass, body *ast.BlockStmt) bool {
+// callsHost reports whether the body calls a method on a hostif.Host
+// value. Such operations run behind the probe's host-op decorator (hostsafe
+// flags them anywhere else), which makes every one a cancellation point.
+func callsHost(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -296,8 +297,7 @@ func callsBoundHost(pass *analysis.Pass, body *ast.BlockStmt) bool {
 		}
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			t := pass.TypeOf(sel.X)
-			if t != nil && (analysis.IsNamedType(t, "coremap/internal/hostif", "Host") ||
-				analysis.IsNamedType(t, "coremap/internal/hostif", "HostCtx")) {
+			if t != nil && analysis.IsNamedType(t, "coremap/internal/hostif", "Host") {
 				found = true
 				return false
 			}

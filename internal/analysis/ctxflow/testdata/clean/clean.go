@@ -44,10 +44,9 @@ func Poll(ctx context.Context, m sampler, cores []int) error {
 	return nil
 }
 
-// Operations through a hostif.Host observe ctx on every call via the
-// Bind/WithContext decorators.
+// Operations through a hostif.Host are cancellation points: they run
+// behind the probe's host-op decorator, which checks ctx on every call.
 func Warm(ctx context.Context, h hostif.Host, addrs []uint64) error {
-	h = hostif.Bind(ctx, h)
 	for _, a := range addrs {
 		if err := h.Load(0, a); err != nil {
 			return err

@@ -30,7 +30,7 @@ func Measure(cpu int, ctx context.Context) error { // want `first parameter`
 var handler = func(n int, ctx context.Context) {} // want `first parameter`
 
 // A measurement loop that never observes cancellation: neither ctx nor a
-// Bind-decorated host appears in the body.
+// hostif.Host appears in the body.
 func Sweep(ctx context.Context, m sampler, cores []int) error {
 	for _, c := range cores { // want `never observes cancellation`
 		if err := m.Sample(c); err != nil {

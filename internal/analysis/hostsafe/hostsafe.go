@@ -1,11 +1,11 @@
 // Package hostsafe enforces the host-access and randomness discipline of
 // the measurement pipeline. Three rules:
 //
-//   - decorator rule: the MSR/PMON/memory operations of hostif.Host and
-//     hostif.HostCtx (ReadMSR, WriteMSR, Load, TimedLoad, Store, Flush)
-//     may be invoked only from the packages that implement or decorate
-//     the boundary — hostif (the Bind/WithContext adapters), probe (the
-//     retry decorator and the measurement loops running behind it),
+//   - decorator rule: the MSR/PMON/memory operations of hostif.Host
+//     (ReadMSR, WriteMSR, Load, TimedLoad, Store, Flush) may be invoked
+//     only from the packages that implement or decorate the boundary —
+//     hostif (the Counting decorator), probe (the host-op decorator and
+//     the measurement loops running behind it),
 //     machine (the simulator) and faulty (the fault injector). Everyone
 //     else calling through the raw interface bypasses per-operation
 //     context checks and transient-fault retry, which is exactly how an
@@ -67,8 +67,8 @@ var hostOps = map[string]bool{
 // operations to the reason each one is the boundary rather than a user
 // of it. Everyone else must route through the decorators.
 var HostOpExempt = map[string]string{
-	"coremap/internal/hostif":  "defines the boundary: the Bind/WithContext adapters are the sanctioned wrappers themselves",
-	"coremap/internal/probe":   "the retry decorator and the measurement loops that run behind it",
+	"coremap/internal/hostif":  "defines the boundary: the Counting decorator forwards every raw operation it counts",
+	"coremap/internal/probe":   "the host-op decorator (context check and retry) and the measurement loops that run behind it",
 	"coremap/internal/machine": "the in-memory simulator implements Host; its bodies are the operations",
 	"coremap/internal/faulty":  "the fault injector decorates an inner Host and must forward raw operations",
 }
@@ -133,8 +133,7 @@ func checkClock(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 }
 
-// checkHostOp flags a covered operation invoked on a hostif.Host or
-// hostif.HostCtx value.
+// checkHostOp flags a covered operation invoked on a hostif.Host value.
 func checkHostOp(pass *analysis.Pass, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !hostOps[sel.Sel.Name] {
@@ -144,10 +143,9 @@ func checkHostOp(pass *analysis.Pass, call *ast.CallExpr) {
 	if t == nil {
 		return
 	}
-	if analysis.IsNamedType(t, "coremap/internal/hostif", "Host") ||
-		analysis.IsNamedType(t, "coremap/internal/hostif", "HostCtx") {
+	if analysis.IsNamedType(t, "coremap/internal/hostif", "Host") {
 		pass.Reportf(call.Pos(),
-			"raw hostif %s call bypasses the retry/Bind decorators: route the operation through probe.Prober, or wrap the host with hostif.Bind",
+			"raw hostif %s call bypasses the probe's host-op decorator (context check and retry): route the operation through probe.Prober",
 			sel.Sel.Name)
 	}
 }

@@ -4,25 +4,19 @@
 package experiments
 
 import (
-	"context"
 	"math/rand"
 	"time"
 
 	"coremap/internal/hostif"
 )
 
-// Raw host operations bypass the retry/Bind decorators.
+// Raw host operations bypass the probe's host-op decorator.
 func Poke(h hostif.Host) error {
 	if err := h.Store(0, 0x1000); err != nil { // want `raw hostif Store call`
 		return err
 	}
 	_, err := h.ReadMSR(0, 0x10) // want `raw hostif ReadMSR call`
 	return err
-}
-
-// The context-aware interface is still the raw boundary.
-func PokeCtx(ctx context.Context, h hostif.HostCtx) error {
-	return h.Flush(ctx, 0, 0x2000) // want `raw hostif Flush call`
 }
 
 // Global-source randomness is irreproducible.

@@ -7,14 +7,15 @@
 // awkward thread-pinning and MSR plumbing the original tool needs. In this
 // repository, internal/machine provides a simulated Xeon implementation, so
 // the probe, locator and covert-channel code run unchanged against either.
+//
+// Besides Host the package holds one transparent decorator, Counting,
+// which counts operations into a telemetry registry. Cancellation and
+// transient-fault retry live above it: the probe passes every operation
+// through its own host-op decorator, which checks the call's context
+// before each attempt and retries transient failures.
 package hostif
 
-import (
-	"context"
-
-	"coremap/internal/cmerr"
-	"coremap/internal/msr"
-)
+import "coremap/internal/msr"
 
 // Host is one measurable CPU socket.
 //
@@ -48,106 +49,4 @@ type Host interface {
 	// Flush evicts the cache line containing addr from cpu's private
 	// caches (clflush).
 	Flush(cpu int, addr uint64) error
-}
-
-// HostCtx is the context-aware variant of Host: every operation takes a
-// context as its first parameter and fails with a cmerr.Interrupted error
-// once the context is cancelled. The measurement pipeline is written
-// against this boundary; WithContext adapts any plain Host (the simulator,
-// a /dev/cpu/*/msr implementation, a fault-injecting decorator) into it.
-type HostCtx interface {
-	NumCPUs() int
-	ReadMSR(ctx context.Context, cpu int, a msr.Addr) (uint64, error)
-	WriteMSR(ctx context.Context, cpu int, a msr.Addr, v uint64) error
-	Load(ctx context.Context, cpu int, addr uint64) error
-	TimedLoad(ctx context.Context, cpu int, addr uint64) (cycles uint64, err error)
-	Store(ctx context.Context, cpu int, addr uint64) error
-	Flush(ctx context.Context, cpu int, addr uint64) error
-}
-
-// ctxHost adapts a plain Host into a HostCtx by checking the context
-// before every operation. Host operations are individually fast (an MSR
-// access, one cache line touch), so a pre-operation check bounds the
-// cancellation latency by a single hardware op — microseconds on real
-// silicon, nanoseconds against the simulator.
-type ctxHost struct{ h Host }
-
-// WithContext returns a HostCtx view of h. Each operation first consults
-// its context and returns a cmerr.Interrupted error (stage "host") when it
-// is cancelled; otherwise it forwards to h unchanged.
-func WithContext(h Host) HostCtx { return ctxHost{h} }
-
-func (c ctxHost) NumCPUs() int { return c.h.NumCPUs() }
-
-// check is the shared pre-operation gate.
-func check(ctx context.Context) error { return cmerr.FromContext(ctx, "host") }
-
-func (c ctxHost) ReadMSR(ctx context.Context, cpu int, a msr.Addr) (uint64, error) {
-	if err := check(ctx); err != nil {
-		return 0, err
-	}
-	return c.h.ReadMSR(cpu, a)
-}
-
-func (c ctxHost) WriteMSR(ctx context.Context, cpu int, a msr.Addr, v uint64) error {
-	if err := check(ctx); err != nil {
-		return err
-	}
-	return c.h.WriteMSR(cpu, a, v)
-}
-
-func (c ctxHost) Load(ctx context.Context, cpu int, addr uint64) error {
-	if err := check(ctx); err != nil {
-		return err
-	}
-	return c.h.Load(cpu, addr)
-}
-
-func (c ctxHost) TimedLoad(ctx context.Context, cpu int, addr uint64) (uint64, error) {
-	if err := check(ctx); err != nil {
-		return 0, err
-	}
-	return c.h.TimedLoad(cpu, addr)
-}
-
-func (c ctxHost) Store(ctx context.Context, cpu int, addr uint64) error {
-	if err := check(ctx); err != nil {
-		return err
-	}
-	return c.h.Store(cpu, addr)
-}
-
-func (c ctxHost) Flush(ctx context.Context, cpu int, addr uint64) error {
-	if err := check(ctx); err != nil {
-		return err
-	}
-	return c.h.Flush(cpu, addr)
-}
-
-// boundHost is a plain Host view of a (HostCtx, fixed context) pair.
-type boundHost struct {
-	ctx context.Context
-	h   HostCtx
-}
-
-// Bind fixes a context into a Host: the returned Host checks ctx before
-// every operation, so loops written against the plain interface become
-// cancellable without threading a context through each call site. It is
-// the inverse adapter of WithContext.
-func Bind(ctx context.Context, h Host) Host {
-	return boundHost{ctx: ctx, h: WithContext(h)}
-}
-
-func (b boundHost) NumCPUs() int { return b.h.NumCPUs() }
-func (b boundHost) ReadMSR(cpu int, a msr.Addr) (uint64, error) {
-	return b.h.ReadMSR(b.ctx, cpu, a)
-}
-func (b boundHost) WriteMSR(cpu int, a msr.Addr, v uint64) error {
-	return b.h.WriteMSR(b.ctx, cpu, a, v)
-}
-func (b boundHost) Load(cpu int, addr uint64) error  { return b.h.Load(b.ctx, cpu, addr) }
-func (b boundHost) Store(cpu int, addr uint64) error { return b.h.Store(b.ctx, cpu, addr) }
-func (b boundHost) Flush(cpu int, addr uint64) error { return b.h.Flush(b.ctx, cpu, addr) }
-func (b boundHost) TimedLoad(cpu int, addr uint64) (uint64, error) {
-	return b.h.TimedLoad(b.ctx, cpu, addr)
 }

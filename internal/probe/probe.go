@@ -16,13 +16,13 @@
 //
 // # Cancellation and fault tolerance
 //
-// Every public method takes a context; cancellation is observed before
-// each host operation (see hostif.Bind), so a running measurement stops
-// within one hardware operation of the deadline and surfaces a
-// cmerr.Interrupted error. Host operations failing with cmerr.Transient
-// errors — flaky counter reads, injected faults — are retried per
-// operation with exponential backoff (Options.OpRetries); when the budget
-// is exhausted the failure escalates to cmerr.Permanent. Permanent
+// Every public method takes a context and binds it to the prober's one
+// host-op decorator, which checks it before every host operation, so a
+// running measurement stops within one hardware operation of the deadline
+// and surfaces a cmerr.Interrupted error. The same decorator retries host
+// operations failing with cmerr.Transient errors — flaky counter reads,
+// injected faults — with exponential backoff (Options.OpRetries); when
+// the budget is exhausted the failure escalates to cmerr.Permanent. Permanent
 // experiment failures do not abort the run: the affected core pair (or
 // unmappable CPU) is recorded in Result.Failures, the observation is
 // dropped, and the Result is marked Degraded with a Coverage fraction so
@@ -229,12 +229,10 @@ func (r *Result) LLCOnlyCHAs() []int {
 // for concurrent use: it binds the context of the public method currently
 // executing.
 type Prober struct {
-	// raw is the host as handed to New; host is raw bound to the current
-	// call's context and wrapped with the telemetry and transient-retry
-	// decorators.
+	// raw is the host as handed to New; host is the host-op decorator over
+	// it, bound to the current call's context (host.ctx).
 	raw  hostif.Host
-	host hostif.Host
-	ctx  context.Context
+	host hostOps
 	// reg is the telemetry registry of the current call's context; nil
 	// (a no-op registry) when the caller carries no telemetry. clock is
 	// the matching injected time source (never nil; fixed when absent).
@@ -277,6 +275,7 @@ func New(host hostif.Host, opts Options) (*Prober, error) {
 	opts = opts.withDefaults()
 	p := &Prober{
 		raw:   host,
+		host:  hostOps{retries: opts.OpRetries, backoff: opts.RetryBackoff},
 		opts:  opts,
 		rng:   rand.New(rand.NewSource(opts.Seed + 0x5EED)),
 		homes: make(map[int][]uint64),
@@ -291,22 +290,30 @@ func New(host hostif.Host, opts Options) (*Prober, error) {
 	return p, nil
 }
 
-// bind fixes ctx as the context every host operation of the current call
-// observes, and layers the telemetry and transient-retry decorators on
-// top. The counting decorator sits innermost (below retry), so host op
-// counters see every attempt, not just the first.
-func (p *Prober) bind(ctx context.Context) {
+// bind makes ctx the context every host operation of the current call
+// observes and returns the context it replaces. Binding the context that
+// is already bound costs nothing. The counting decorator is rebuilt only
+// when the telemetry registry changes; it sits below the host-op
+// decorator, so host op counters see every attempt, not just the first.
+func (p *Prober) bind(ctx context.Context) (prev context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p.ctx = ctx
-	p.reg = obs.RegistryFrom(ctx)
-	p.clock = obs.From(ctx).Clock()
-	h := hostif.Bind(ctx, hostif.Counting(p.raw, p.reg, p.clock))
-	p.host = newRetryHost(ctx, h, p.opts.OpRetries, p.opts.RetryBackoff, p.reg.Counter("probe/retries"))
+	prev = p.host.ctx
+	if ctx == prev {
+		return prev
+	}
+	p.host.ctx = ctx
+	if reg := obs.RegistryFrom(ctx); reg != p.reg || p.host.h == nil {
+		p.reg = reg
+		p.clock = obs.From(ctx).Clock()
+		p.host.h = hostif.Counting(p.raw, reg, p.clock)
+		p.host.retried = reg.Counter("probe/retries")
+	}
+	return prev
 }
 
-// msrVia adapts the prober's current bound host to pmon.Access; uncore
+// msrVia adapts the prober's host-op decorator to pmon.Access; uncore
 // registers are socket-scoped, so CPU 0 serves all of them.
 type msrVia struct{ p *Prober }
 
@@ -354,10 +361,6 @@ func (p *Prober) progress(stage string, done, total int) {
 // on busy hosts.
 func (p *Prober) CalibrateNoise(ctx context.Context) error {
 	p.bind(ctx)
-	return p.calibrateNoise()
-}
-
-func (p *Prober) calibrateNoise() error {
 	const calOps = 512
 	addr := uint64(0x600000000) + uint64(p.rng.Intn(1<<12))*64
 	// Take ownership once; every following store is an L2 hit.
@@ -386,7 +389,7 @@ func (p *Prober) ensureCalibrated() error {
 	if p.calibrated || p.opts.NoCalibration {
 		return nil
 	}
-	return p.calibrateNoise()
+	return p.CalibrateNoise(p.host.ctx)
 }
 
 // noiseEstimate is the expected total background ring cycles accumulated
@@ -398,10 +401,6 @@ func (p *Prober) noiseEstimate(ops int) uint64 {
 // ReadPPIN unlocks and reads the protected processor inventory number.
 func (p *Prober) ReadPPIN(ctx context.Context) (uint64, error) {
 	p.bind(ctx)
-	return p.readPPIN()
-}
-
-func (p *Prober) readPPIN() (uint64, error) {
 	if err := p.host.WriteMSR(0, msr.AddrPPINCtl, 0x2); err != nil {
 		return 0, cmerr.Ensure(cmerr.Permanent, stage,
 			cmerr.Wrapf(cmerr.Permanent, stage, err, "unlocking PPIN").AtMSR(uint64(msr.AddrPPINCtl)))
@@ -419,10 +418,6 @@ func (p *Prober) readPPIN() (uint64, error) {
 // the uncore-assisted variant of eviction-set home discovery.
 func (p *Prober) FindLineHome(ctx context.Context, addr uint64) (int, error) {
 	p.bind(ctx)
-	return p.findLineHome(addr)
-}
-
-func (p *Prober) findLineHome(addr uint64) (int, error) {
 	n := p.host.NumCPUs()
 	if n < 2 {
 		return 0, cmerr.New(cmerr.Permanent, stage, "need at least two CPUs")
@@ -462,17 +457,13 @@ func (p *Prober) findLineHome(addr uint64) (int, error) {
 // slice). The discovered lines are cached for later traffic experiments.
 func (p *Prober) BuildEvictionSets(ctx context.Context) error {
 	p.bind(ctx)
-	return p.buildEvictionSets()
-}
-
-func (p *Prober) buildEvictionSets() error {
 	need := p.opts.L2Ways + 1
 	setStride := uint64(p.opts.L2Sets) * 64
 	base := uint64(0x40000000) + uint64(p.rng.Intn(1<<16))*setStride
 	filled := 0
 	for i := 0; i < p.opts.MaxCandidates && filled < p.mon.NumCHA; i++ {
 		addr := base + uint64(i)*setStride
-		home, err := p.findLineHome(addr)
+		home, err := p.FindLineHome(ctx, addr)
 		if err != nil {
 			return err
 		}
@@ -637,14 +628,15 @@ func (p *Prober) MapCoresToCHAs(ctx context.Context) (mapping []int, err error) 
 		span.SetAttr("mapped", mapped).SetAttr("unmapped", unmapped)
 		span.End(err)
 	}()
-	p.bind(ctx)
+	// Bind this call's span; hand the caller's binding back on return.
+	defer p.bind(p.bind(ctx))
 	c := p.opts.Cache
 	if c == nil {
 		mapping, failures, err := p.mapCoresToCHAs()
 		p.step1Failures = failures
 		return mapping, err
 	}
-	ppin, err := p.readPPIN()
+	ppin, err := p.ReadPPIN(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -679,7 +671,7 @@ func (p *Prober) MapCoresToCHAs(ctx context.Context) (mapping []int, err error) 
 // provenance — cha is the last slice whose co-location test was
 // unobtainable — for post-mortem attribution.
 func (p *Prober) dropCore(cpu, cha int, cause error) {
-	obs.Event(p.ctx, "probe/core-unmapped",
+	obs.Event(p.host.ctx, "probe/core-unmapped",
 		cmerr.Wrapf(cmerr.Permanent, stage, cause, "cpu %d dropped from the map", cpu).
 			WithOp("core-to-cha").OnCPU(cpu).AtCHA(cha))
 }
@@ -689,7 +681,7 @@ func (p *Prober) mapCoresToCHAs() ([]int, []Failure, error) {
 		return nil, nil, err
 	}
 	if len(p.homes) == 0 {
-		if err := p.buildEvictionSets(); err != nil {
+		if err := p.BuildEvictionSets(p.host.ctx); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -818,10 +810,6 @@ func (p *Prober) mapCoresGuided() ([]int, []Failure, error) {
 // the ingress counters of every CHA classify who saw the data stream.
 func (p *Prober) MeasureTraffic(ctx context.Context, srcCPU, sinkCPU, srcCHA, sinkCHA int) (Observation, error) {
 	p.bind(ctx)
-	return p.measureTraffic(srcCPU, sinkCPU, srcCHA, sinkCHA)
-}
-
-func (p *Prober) measureTraffic(srcCPU, sinkCPU, srcCHA, sinkCHA int) (Observation, error) {
 	obs := Observation{SrcCHA: srcCHA, DstCHA: sinkCHA}
 	if err := p.ensureCalibrated(); err != nil {
 		return obs, err
@@ -904,10 +892,6 @@ func (p *Prober) collectObservation(obs *Observation, threshold uint64) error {
 // *source* even though they cannot host a thread.
 func (p *Prober) MeasureSliceTraffic(ctx context.Context, coreCPU, coreCHA, sliceCHA int) (Observation, error) {
 	p.bind(ctx)
-	return p.measureSliceTraffic(coreCPU, coreCHA, sliceCHA)
-}
-
-func (p *Prober) measureSliceTraffic(coreCPU, coreCHA, sliceCHA int) (Observation, error) {
 	obs := Observation{SrcCHA: sliceCHA, DstCHA: coreCHA}
 	if err := p.ensureCalibrated(); err != nil {
 		return obs, err
@@ -948,10 +932,6 @@ func (p *Prober) measureSliceTraffic(coreCPU, coreCHA, sliceCHA int) (Observatio
 // slice-source observations.
 func (p *Prober) MeasureRequestTraffic(ctx context.Context, coreCPU, coreCHA, sliceCHA int) (Observation, error) {
 	p.bind(ctx)
-	return p.measureRequestTraffic(coreCPU, coreCHA, sliceCHA)
-}
-
-func (p *Prober) measureRequestTraffic(coreCPU, coreCHA, sliceCHA int) (Observation, error) {
 	obs := Observation{SrcCHA: coreCHA, DstCHA: sliceCHA}
 	if err := p.ensureCalibrated(); err != nil {
 		return obs, err
@@ -999,11 +979,13 @@ func (p *Prober) measureRequestTraffic(coreCPU, coreCHA, sliceCHA int) (Observat
 // experiments cannot provide.
 func (p *Prober) MeasureMemoryTraffic(ctx context.Context, cpu, coreCHA, imc, numIMC int) (Observation, error) {
 	p.bind(ctx)
-	return p.measureMemoryTraffic(cpu, coreCHA, imc, numIMC)
-}
-
-func (p *Prober) measureMemoryTraffic(cpu, coreCHA, imc, numIMC int) (Observation, error) {
 	obs := Observation{SrcCHA: -1, DstCHA: coreCHA, Anchored: true, SrcIMC: imc}
+	// cache.IMCOf only returns controllers in [0, max(numIMC, 1)): any
+	// other IMC would leave the line scan below spinning forever.
+	if imc < 0 || imc >= max(numIMC, 1) {
+		return obs, cmerr.New(cmerr.Permanent, stage,
+			"IMC %d out of range for %d memory controllers", imc, numIMC).WithOp("memory")
+	}
 	if err := p.ensureCalibrated(); err != nil {
 		return obs, err
 	}
@@ -1071,8 +1053,9 @@ func (p *Prober) RunWith(ctx context.Context, ro RunOptions) (res *Result, err e
 		}
 		span.End(err)
 	}()
-	p.bind(ctx)
-	ppin, err := p.readPPIN()
+	// Bind this call's span; hand the caller's binding back on return.
+	defer p.bind(p.bind(ctx))
+	ppin, err := p.ReadPPIN(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1159,7 +1142,7 @@ func (p *Prober) initRun(ppin uint64, mapping []int, failures []Failure) (*Resul
 		if cha < 0 {
 			cha = dstCHA
 		}
-		obs.Event(p.ctx, "probe/experiment-failed",
+		obs.Event(p.host.ctx, "probe/experiment-failed",
 			cmerr.Wrapf(cmerr.Permanent, stage, err, "%s experiment dropped", op).
 				WithOp(op).OnCPU(cpu).AtCHA(cha))
 		res.Failures = append(res.Failures, Failure{
@@ -1220,6 +1203,7 @@ func (p *Prober) runExhaustive(ppin uint64, ro RunOptions) (*Result, error) {
 	}
 	res, experiment := p.initRun(ppin, mapping, failures)
 
+	ctx := p.host.ctx
 	n := len(mapping)
 	for src := 0; src < n; src++ {
 		p.progress("pair-traffic", src, n)
@@ -1230,7 +1214,7 @@ func (p *Prober) runExhaustive(ppin uint64, ro RunOptions) (*Result, error) {
 			srcCHA, sinkCHA := mapping[src], mapping[sink]
 			src, sink := src, sink
 			_, err := experiment("pair", src, srcCHA, sinkCHA, srcCHA < 0 || sinkCHA < 0,
-				func() (Observation, error) { return p.measureTraffic(src, sink, srcCHA, sinkCHA) })
+				func() (Observation, error) { return p.MeasureTraffic(ctx, src, sink, srcCHA, sinkCHA) })
 			if err != nil {
 				return nil, err
 			}
@@ -1241,12 +1225,12 @@ func (p *Prober) runExhaustive(ppin uint64, ro RunOptions) (*Result, error) {
 			for cpu, coreCHA := range mapping {
 				sliceCHA, cpu, coreCHA := sliceCHA, cpu, coreCHA
 				_, err := experiment("slice", cpu, sliceCHA, coreCHA, coreCHA < 0,
-					func() (Observation, error) { return p.measureSliceTraffic(cpu, coreCHA, sliceCHA) })
+					func() (Observation, error) { return p.MeasureSliceTraffic(ctx, cpu, coreCHA, sliceCHA) })
 				if err != nil {
 					return nil, err
 				}
 				_, err = experiment("request", cpu, coreCHA, sliceCHA, coreCHA < 0,
-					func() (Observation, error) { return p.measureRequestTraffic(cpu, coreCHA, sliceCHA) })
+					func() (Observation, error) { return p.MeasureRequestTraffic(ctx, cpu, coreCHA, sliceCHA) })
 				if err != nil {
 					return nil, err
 				}
@@ -1257,7 +1241,7 @@ func (p *Prober) runExhaustive(ppin uint64, ro RunOptions) (*Result, error) {
 		for cpu, coreCHA := range mapping {
 			imc, cpu, coreCHA := imc, cpu, coreCHA
 			_, err := experiment("memory", cpu, -1, coreCHA, coreCHA < 0,
-				func() (Observation, error) { return p.measureMemoryTraffic(cpu, coreCHA, imc, ro.NumIMCs) })
+				func() (Observation, error) { return p.MeasureMemoryTraffic(ctx, cpu, coreCHA, imc, ro.NumIMCs) })
 			if err != nil {
 				return nil, err
 			}
@@ -1342,7 +1326,7 @@ func (p *Prober) runPlanned(ppin uint64, ro RunOptions) (*Result, error) {
 	roundCost := p.reg.Histogram("plan/round_cost")
 	roundUS := p.reg.Histogram("plan/round_us")
 	for {
-		batch, err := pm.NextBatch(p.ctx)
+		batch, err := pm.NextBatch(p.host.ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -1394,32 +1378,31 @@ func b2g(b bool) int64 {
 // experiment path, with the same op labels, failure records and
 // measurement calls as the exhaustive sweep.
 func (p *Prober) runCandidate(experiment expFunc, c plan.Candidate, ro RunOptions) (bool, error) {
+	ctx := p.host.ctx
 	switch c.Kind {
 	case plan.KindPair:
 		return experiment("pair", c.SrcCPU, c.SrcCHA, c.DstCHA, false,
-			func() (Observation, error) { return p.measureTraffic(c.SrcCPU, c.DstCPU, c.SrcCHA, c.DstCHA) })
+			func() (Observation, error) { return p.MeasureTraffic(ctx, c.SrcCPU, c.DstCPU, c.SrcCHA, c.DstCHA) })
 	case plan.KindSlice:
 		return experiment("slice", c.DstCPU, c.SrcCHA, c.DstCHA, false,
-			func() (Observation, error) { return p.measureSliceTraffic(c.DstCPU, c.DstCHA, c.SrcCHA) })
+			func() (Observation, error) { return p.MeasureSliceTraffic(ctx, c.DstCPU, c.DstCHA, c.SrcCHA) })
 	case plan.KindRequest:
 		return experiment("request", c.SrcCPU, c.SrcCHA, c.DstCHA, false,
-			func() (Observation, error) { return p.measureRequestTraffic(c.SrcCPU, c.SrcCHA, c.DstCHA) })
+			func() (Observation, error) { return p.MeasureRequestTraffic(ctx, c.SrcCPU, c.SrcCHA, c.DstCHA) })
 	case plan.KindMemory:
 		return experiment("memory", c.DstCPU, -1, c.DstCHA, false,
-			func() (Observation, error) { return p.measureMemoryTraffic(c.DstCPU, c.DstCHA, c.IMC, ro.NumIMCs) })
+			func() (Observation, error) { return p.MeasureMemoryTraffic(ctx, c.DstCPU, c.DstCHA, c.IMC, ro.NumIMCs) })
 	}
 	return false, cmerr.New(cmerr.Permanent, stage, "unknown candidate kind %d", c.Kind)
 }
 
 // runStep1 is mapCoresToCHAs routed through the step-1 cache when one is
 // configured, returning the mapping together with its degradation record.
-// MapCoresToCHAs binds the prober to its own probe/map-cores span, which
-// has ended by the time it returns, so the run's context is bound again:
-// step 2's spans and events belong to the run, not to step 1.
+// MapCoresToCHAs restores the run's binding when it returns, so step 2's
+// spans and events belong to the run, not to the ended probe/map-cores
+// span.
 func (p *Prober) runStep1() ([]int, []Failure, error) {
-	ctx := p.ctx
-	mapping, err := p.MapCoresToCHAs(ctx)
-	p.bind(ctx)
+	mapping, err := p.MapCoresToCHAs(p.host.ctx)
 	if err != nil {
 		return nil, nil, err
 	}

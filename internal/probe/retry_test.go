@@ -41,7 +41,7 @@ func (nullHost) TimedLoad(int, uint64) (uint64, error) { return 0, nil }
 func TestRetryAbsorbsTransientFaults(t *testing.T) {
 	// Three retries cover up to three consecutive transient failures.
 	f := &flakyHost{Host: nullHost{}, failures: 3}
-	r := newRetryHost(context.Background(), f, 3, time.Microsecond, nil)
+	r := &hostOps{h: f, ctx: context.Background(), retries: 3, backoff: time.Microsecond}
 	v, err := r.ReadMSR(0, 0x100)
 	if err != nil {
 		t.Fatalf("retry did not absorb %d transient faults: %v", f.failures, err)
@@ -56,7 +56,7 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 
 func TestRetryExhaustionEscalatesToPermanent(t *testing.T) {
 	f := &flakyHost{Host: nullHost{}, failures: 1 << 30}
-	r := newRetryHost(context.Background(), f, 3, time.Microsecond, nil)
+	r := &hostOps{h: f, ctx: context.Background(), retries: 3, backoff: time.Microsecond}
 	_, err := r.ReadMSR(7, 0x100)
 	if err == nil {
 		t.Fatal("persistent transient fault succeeded")
@@ -84,7 +84,7 @@ func TestRetryPassesNonTransientThrough(t *testing.T) {
 	calls := 0
 	hard := cmerr.New(cmerr.Permanent, "test", "broken")
 	f := &funcHost{Host: nullHost{}, load: func(int, uint64) error { calls++; return hard }}
-	r := newRetryHost(context.Background(), f, 3, time.Microsecond, nil)
+	r := &hostOps{h: f, ctx: context.Background(), retries: 3, backoff: time.Microsecond}
 	if err := r.Load(0, 0); !errors.Is(err, hard) {
 		t.Fatalf("err = %v, want the permanent cause", err)
 	}
@@ -98,7 +98,7 @@ func TestRetryHonoursCancellation(t *testing.T) {
 	cancel()
 	f := &flakyHost{Host: nullHost{}, failures: 1 << 30}
 	// A long backoff would hang here if the sleep ignored the context.
-	r := newRetryHost(ctx, f, 3, time.Hour, nil)
+	r := &hostOps{h: f, ctx: ctx, retries: 3, backoff: time.Hour}
 	start := time.Now()
 	_, err := r.ReadMSR(0, 0x100)
 	if time.Since(start) > 100*time.Millisecond {
@@ -111,7 +111,7 @@ func TestRetryHonoursCancellation(t *testing.T) {
 
 func TestRetryDisabled(t *testing.T) {
 	f := &flakyHost{Host: nullHost{}, failures: 1}
-	r := newRetryHost(context.Background(), f, 0, time.Microsecond, nil)
+	r := &hostOps{h: f, ctx: context.Background(), retries: 0, backoff: time.Microsecond}
 	if _, err := r.ReadMSR(0, 0x100); !cmerr.IsTransient(err) {
 		t.Fatalf("retries=0 must pass the transient fault through, got %v", err)
 	}
