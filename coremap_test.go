@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"coremap/internal/cmerr"
 	"coremap/internal/locate"
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
@@ -154,5 +155,19 @@ func TestProbeSeedDoesNotChangeMap(t *testing.T) {
 	}
 	if !locate.Equivalent(r1.Pos, r2.Pos) {
 		t.Error("different probe seeds recovered non-equivalent maps")
+	}
+}
+
+// TestMapMachineRejectsNegativeTrafficIters: a negative bounce count used
+// to skip every step-2 experiment and return a wrong map with no error.
+func TestMapMachineRejectsNegativeTrafficIters(t *testing.T) {
+	m := machine.Generate(machine.SKU8124M, 0, machine.Config{Seed: 3})
+	res, err := MapMachine(context.Background(), m, DieInfo{Rows: machine.SKU8124M.Rows, Cols: machine.SKU8124M.Cols},
+		Options{Probe: probe.Options{TrafficIters: -1}})
+	if err == nil {
+		t.Fatalf("MapMachine accepted TrafficIters -1 (degraded=%v optimal=%v)", res.Degraded, res.Optimal)
+	}
+	if !cmerr.IsPermanent(err) || !strings.Contains(err.Error(), "TrafficIters") {
+		t.Errorf("error %v is not a Permanent error naming TrafficIters", err)
 	}
 }

@@ -3,9 +3,11 @@ package probe
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"coremap/internal/cache"
+	"coremap/internal/cmerr"
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
 	"coremap/internal/msr"
@@ -151,6 +153,46 @@ func TestProbeSurfacesHostFailures(t *testing.T) {
 		} else if !errors.Is(err, errInjected) {
 			t.Fatalf("budget %d: degraded-mode error %v does not wrap the injected failure", budget, err)
 		}
+	}
+}
+
+// TestNewRejectsNegativeCounts: a negative measurement count used to
+// slip past the zero-means-default rule and shrink a measurement loop to
+// nothing; New must refuse it before touching the host.
+func TestNewRejectsNegativeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		opts  Options
+	}{
+		{"HomeSamples", Options{HomeSamples: -1}},
+		{"EvictRounds", Options{EvictRounds: -1}},
+		{"TrafficIters", Options{TrafficIters: -1}},
+		{"MaxCandidates", Options{MaxCandidates: -3}},
+		{"L2Sets", Options{L2Sets: -64}},
+		{"L2Ways", Options{L2Ways: -2}},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			host := &failingHost{Machine: machine.Generate(machine.SKU8124M, 0, machine.Config{Seed: 3}), budget: 0}
+			_, err := New(host, tc.opts)
+			if err == nil {
+				t.Fatal("New accepted a negative count")
+			}
+			if !cmerr.IsPermanent(err) {
+				t.Errorf("error %v is not Permanent", err)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("error %q does not name %s", err, tc.field)
+			}
+			if host.budget != 0 {
+				t.Errorf("New issued %d host operations before rejecting the options", -host.budget)
+			}
+		})
+	}
+	// Zero selects the defaults; negative OpRetries and RetryBackoff keep
+	// their documented meanings (no retry, no backoff sleep).
+	m := machine.Generate(machine.SKU8124M, 0, machine.Config{Seed: 3})
+	if _, err := New(m, Options{OpRetries: -1, RetryBackoff: -1}); err != nil {
+		t.Errorf("New rejected negative OpRetries/RetryBackoff: %v", err)
 	}
 }
 

@@ -117,6 +117,29 @@ type Options struct {
 	Plan *plan.Options
 }
 
+// validate rejects negative measurement counts, which no default can
+// repair: a negative loop bound silently skips the measurement it sizes.
+// Zero still selects the default; OpRetries and RetryBackoff give
+// negative values their own documented meanings.
+func (o Options) validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"HomeSamples", o.HomeSamples},
+		{"EvictRounds", o.EvictRounds},
+		{"TrafficIters", o.TrafficIters},
+		{"MaxCandidates", o.MaxCandidates},
+		{"L2Sets", o.L2Sets},
+		{"L2Ways", o.L2Ways},
+	} {
+		if f.v < 0 {
+			return cmerr.New(cmerr.Permanent, stage, "Options.%s = %d is negative", f.name, f.v).WithOp("options")
+		}
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
 	if o.L2Sets == 0 {
 		o.L2Sets = 64
@@ -272,6 +295,9 @@ const (
 // New returns a prober for host. Discovery performs a bounded MSR scan and
 // is quick, so it does not take a context; all measurement methods do.
 func New(host hostif.Host, opts Options) (*Prober, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	p := &Prober{
 		raw:   host,
