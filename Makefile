@@ -28,11 +28,14 @@ race:
 # FuzzPlannerScoring, the planner's batches against the per-tile
 # reference scoring on generated surveys, then 20 s of
 # FuzzObservationEncoding, the mesh observation encoding against
-# locate.Validate and the ILP rows locate lowers it to.
+# locate.Validate and the ILP rows locate lowers it to, then 20 s of
+# FuzzFindLineHome, the probe's sequential home test under injected
+# foreign LLC lookups.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzSolveBruteForce$$' -fuzztime 30s ./internal/ilp/
 	go test -run '^$$' -fuzz '^FuzzPlannerScoring$$' -fuzztime 20s ./internal/plan/
 	go test -run '^$$' -fuzz '^FuzzObservationEncoding$$' -fuzztime 20s ./internal/locate/
+	go test -run '^$$' -fuzz '^FuzzFindLineHome$$' -fuzztime 20s ./internal/probe/
 
 # Mirrors the lint jobs of .github/workflows/ci.yml: go vet, staticcheck
 # (skipped with a notice when the binary is absent — install it with

@@ -63,8 +63,10 @@ type Options struct {
 	// geometry of the target part; the eviction-set threshold is
 	// L2Ways+1 lines. Zero selects the simulator's default geometry.
 	L2Sets, L2Ways int
-	// HomeSamples is the number of ping-pong writes used to identify a
-	// line's home slice.
+	// HomeSamples bounds the ping-pong rounds (one write from each of two
+	// cores) spent identifying a line's home slice. The test stops as
+	// soon as one slice clearly leads (see FindLineHome), so this is an
+	// upper bound, reached only when the lookup counts stay ambiguous.
 	HomeSamples int
 	// EvictRounds is the number of passes over an eviction set per
 	// co-location test.
@@ -266,6 +268,15 @@ type Prober struct {
 	rng   *rand.Rand
 	// homes caches discovered line → home-CHA results, bucketed by CHA.
 	homes map[int][]uint64
+	// lookBase holds the LLC_LOOKUP counts of the last home-test read
+	// and lookAt the host-op sequence number right after it. The home
+	// test measures deltas from lookBase instead of reprogramming the
+	// counters, which is valid only while lookArmed is set and no other
+	// host operation — a UnitCtl reset, foreign cache traffic, a failed
+	// home test — has run since (host.seq == lookAt).
+	lookBase  []uint64
+	lookAt    uint64
+	lookArmed bool
 	// obsSlab backs the Up/Down/Horz records of completed observations.
 	// It is grow-only and never reset, so records retained in Results can
 	// never be aliased by later experiments.
@@ -313,6 +324,7 @@ func New(host hostif.Host, opts Options) (*Prober, error) {
 		return nil, err
 	}
 	p.mon = pmon.NewMonitor(msrVia{p}, n)
+	p.lookBase = make([]uint64, n)
 	return p, nil
 }
 
@@ -442,40 +454,76 @@ func (p *Prober) ReadPPIN(ctx context.Context) (uint64, error) {
 // FindLineHome identifies the home CHA of the line at addr by ping-pong
 // writing it from two cores and picking the CHA with the most LLC lookups,
 // the uncore-assisted variant of eviction-set home discovery.
+//
+// The test is sequential. It ping-pongs the line in chunks of
+// 4×repetitionFactor rounds, doubling after every undecided read, and
+// reads every CHA's lookup counter after each chunk. It stops as soon as
+// the leader has at least one lookup per round taken and leads the
+// runner-up by at least one lookup per round; the home itself collects
+// two per round. After Options.HomeSamples rounds the leader is accepted
+// if it has at least one lookup per round, otherwise the line is not
+// identifiable. LLC_LOOKUP is programmed once and each test reads deltas
+// from the previous test's read, so back-to-back tests cost only their
+// stores and one counter sweep per chunk.
 func (p *Prober) FindLineHome(ctx context.Context, addr uint64) (int, error) {
 	p.bind(ctx)
 	n := p.host.NumCPUs()
 	if n < 2 {
 		return 0, cmerr.New(cmerr.Permanent, stage, "need at least two CPUs")
 	}
-	if err := p.mon.ProgramAll(ctrLook, pmon.EvLLCLookup, pmon.UmaskLLCAny); err != nil {
-		return 0, cmerr.Ensure(cmerr.Permanent, stage, err)
-	}
-	cpuA, cpuB := 0, n-1
-	for i := 0; i < p.opts.HomeSamples; i++ {
-		if err := p.host.Store(cpuA, addr); err != nil {
+	if !p.lookArmed || p.host.seq != p.lookAt {
+		if err := p.mon.ProgramAll(ctrLook, pmon.EvLLCLookup, pmon.UmaskLLCAny); err != nil {
 			return 0, cmerr.Ensure(cmerr.Permanent, stage, err)
 		}
-		if err := p.host.Store(cpuB, addr); err != nil {
-			return 0, cmerr.Ensure(cmerr.Permanent, stage, err)
-		}
+		clear(p.lookBase)
 	}
 	counts := ctrScratch.Get(p.mon.NumCHA)
 	defer ctrScratch.Put(counts)
-	if err := p.mon.ReadAllInto(ctrLook, counts); err != nil {
-		return 0, cmerr.Ensure(cmerr.Permanent, stage, err)
-	}
-	best, bestCount := -1, uint64(0)
-	for cha, c := range counts {
-		if c > bestCount {
-			best, bestCount = cha, c
+	cpuA, cpuB := 0, n-1
+	rounds, chunk := 0, 4*p.repetitionFactor()
+	for {
+		chunk = min(chunk, p.opts.HomeSamples-rounds)
+		for i := 0; i < chunk; i++ {
+			if err := p.host.Store(cpuA, addr); err != nil {
+				return 0, cmerr.Ensure(cmerr.Permanent, stage, err)
+			}
+			if err := p.host.Store(cpuB, addr); err != nil {
+				return 0, cmerr.Ensure(cmerr.Permanent, stage, err)
+			}
 		}
+		rounds += chunk
+		if err := p.mon.ReadAllInto(ctrLook, counts); err != nil {
+			return 0, cmerr.Ensure(cmerr.Permanent, stage, err)
+		}
+		best, top, second := -1, uint64(0), uint64(0)
+		for cha, c := range counts {
+			if c < p.lookBase[cha] {
+				// Rebased behind the prober's back; the host ops since
+				// lookAt make the next test reprogram.
+				return 0, cmerr.New(cmerr.Permanent, stage,
+					"LLC lookup counter of CHA %d went backwards", cha).AtCHA(cha).WithOp("find-home")
+			}
+			switch d := c - p.lookBase[cha]; {
+			case d > top:
+				best, top, second = cha, d, top
+			case d > second:
+				second = d
+			}
+		}
+		t, last := uint64(rounds), rounds == p.opts.HomeSamples
+		decided := top >= t && (top-second >= t || last)
+		if !decided && !last {
+			chunk *= 2
+			continue
+		}
+		copy(p.lookBase, counts)
+		p.lookAt, p.lookArmed = p.host.seq, true
+		if !decided {
+			return 0, cmerr.New(cmerr.Permanent, stage,
+				"home of %#x not identifiable (max lookups %d)", addr, top).WithOp("find-home")
+		}
+		return best, nil
 	}
-	if best < 0 || bestCount < uint64(p.opts.HomeSamples) {
-		return 0, cmerr.New(cmerr.Permanent, stage,
-			"home of %#x not identifiable (max lookups %d)", addr, bestCount).WithOp("find-home")
-	}
-	return best, nil
 }
 
 // BuildEvictionSets scans same-L2-set addresses until every CHA has a full

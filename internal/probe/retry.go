@@ -38,6 +38,9 @@ type hostOps struct {
 	retries int           // 0: one attempt, transient errors pass through
 	backoff time.Duration // initial retry delay; <= 0 never sleeps
 	retried *obs.Counter  // probe/retries; nil (no-op) without telemetry
+	// seq counts the operations issued, retries not included; the home
+	// test uses it to tell whether anything ran since its last read.
+	seq uint64
 }
 
 // sleepCtx waits for d or until ctx is cancelled, whichever comes first.
@@ -57,6 +60,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // do runs fn under the context check and the retry policy.
 func (r *hostOps) do(op string, cpu int, fn func() error) error {
+	r.seq++
 	var err error
 	backoff := r.backoff
 	for attempt := 0; ; attempt++ {
