@@ -273,7 +273,8 @@ type Prober struct {
 	// test measures deltas from lookBase instead of reprogramming the
 	// counters, which is valid only while lookArmed is set and no other
 	// host operation — a UnitCtl reset, foreign cache traffic, a failed
-	// home test — has run since (host.seq == lookAt).
+	// home test — has run since (host.seq == lookAt). Like ringProgrammed,
+	// it assumes no one else programs the CHA PMON boxes.
 	lookBase  []uint64
 	lookAt    uint64
 	lookArmed bool
@@ -497,12 +498,6 @@ func (p *Prober) FindLineHome(ctx context.Context, addr uint64) (int, error) {
 		}
 		best, top, second := -1, uint64(0), uint64(0)
 		for cha, c := range counts {
-			if c < p.lookBase[cha] {
-				// Rebased behind the prober's back; the host ops since
-				// lookAt make the next test reprogram.
-				return 0, cmerr.New(cmerr.Permanent, stage,
-					"LLC lookup counter of CHA %d went backwards", cha).AtCHA(cha).WithOp("find-home")
-			}
 			switch d := c - p.lookBase[cha]; {
 			case d > top:
 				best, top, second = cha, d, top
