@@ -1,8 +1,8 @@
 package coremap
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
